@@ -8,7 +8,7 @@
 //! claim — tested in `ehdl-flex`).
 //!
 //! The BCM layer follows Algorithm 1 with the fixed-point scaling
-//! discipline worked out in DESIGN.md:
+//! discipline below:
 //!
 //! 1. both FFTs scale per stage (the LEA discipline), so the transforms
 //!    return `X/N` and `W/N` — this *is* SCALE-DOWN, applied

@@ -1,6 +1,6 @@
 //! Ablation study: which ACE/FLEX design choice buys what.
 //!
-//! DESIGN.md calls out four design decisions; this harness removes each
+//! ACE and FLEX rest on four design decisions; this harness removes each
 //! in turn on the MNIST workload and reports the cost:
 //!
 //! 1. **LEA acceleration** (vs CPU-only software math),

@@ -3,7 +3,7 @@
 //! Trains each Table II topology on its synthetic dataset, deploys it
 //! (normalize + quantize), and prints per-layer structure/compression
 //! plus float and quantized accuracy next to the paper's numbers.
-//! Accuracies are measured on the *synthetic* substitutes (DESIGN.md §2);
+//! Accuracies are measured on the *synthetic* substitutes (`ehdl-datasets`);
 //! the paper's MNIST/UCI-HAR/Speech-Commands numbers are shown for
 //! reference.
 //!

@@ -1,11 +1,10 @@
 //! # ehdl-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper (see DESIGN.md §4 for the
-//! index) plus [`micro`] wall-clock microbenches for the hot kernels
+//! One binary per table/figure of the paper (indexed in the table
+//! below) plus [`micro`] wall-clock microbenches for the hot kernels
 //! (`cargo bench` — self-contained, no external harness). The binaries
 //! print the same rows/series the paper reports, with the paper's
-//! numbers alongside for comparison; EXPERIMENTS.md records a captured
-//! run.
+//! numbers alongside for comparison.
 //!
 //! | Binary | Regenerates |
 //! |---|---|

@@ -176,14 +176,29 @@ impl core::fmt::Display for Strategy {
 /// stream, and the full scenario configuration (board, strategy,
 /// calibration bookkeeping). Create one with [`Deployment::builder`],
 /// then open a [`DeviceSession`] to run inferences.
+///
+/// A deployment is one built model plus a cheap per-target lowering.
+/// The built part — quantized model, ACE program and calibration —
+/// depends only on the model, its calibration data and the calibration
+/// recipe, so it sits behind an `Arc` and is shared by every
+/// [`retarget`](Self::retarget)ed copy; only the board, the strategy
+/// and the monitor override are per deployment. Cloning a deployment is
+/// likewise cheap.
 #[derive(Debug, Clone)]
 pub struct Deployment {
-    quantized: QuantizedModel,
-    program: AceProgram,
-    calibration: Calibration,
+    artifact: Arc<Artifact>,
     board_spec: BoardSpec,
     strategy: Strategy,
     monitor: Option<VoltageMonitor>,
+}
+
+/// The board- and strategy-independent product of RAD's deployment
+/// pass, shared between retargeted deployments.
+#[derive(Debug, Clone)]
+struct Artifact {
+    quantized: QuantizedModel,
+    program: AceProgram,
+    calibration: Calibration,
 }
 
 impl Deployment {
@@ -209,12 +224,28 @@ impl Deployment {
         strategy: Strategy,
     ) -> Self {
         Deployment {
-            quantized,
-            program,
-            calibration,
+            artifact: Arc::new(Artifact {
+                quantized,
+                program,
+                calibration,
+            }),
             board_spec,
             strategy,
             monitor: None,
+        }
+    }
+
+    /// The same built model targeted at another board and strategy: the
+    /// quantized model, ACE program and calibration are shared with
+    /// `self` (no rebuild, no copy), and the monitor override carries
+    /// over. Sessions on the result behave exactly like sessions on a
+    /// deployment freshly built with `board` and `strategy`.
+    pub fn retarget(&self, board: BoardSpec, strategy: Strategy) -> Deployment {
+        Deployment {
+            artifact: Arc::clone(&self.artifact),
+            board_spec: board,
+            strategy,
+            monitor: self.monitor,
         }
     }
 
@@ -254,23 +285,23 @@ impl Deployment {
     /// on the plan walk the recovery ladder on every faulted restore.
     pub fn compile_plan_with_integrity(&self, integrity: Integrity) -> ExecutionPlan {
         let board = self.board_spec.board();
-        let lowered = self.strategy.lower(&self.quantized, &self.program);
+        let lowered = self.strategy.lower(self.quantized(), self.program());
         ExecutionPlan::compile_with_integrity(lowered, &board, integrity)
     }
 
     /// The quantized (device) model.
     pub fn quantized(&self) -> &QuantizedModel {
-        &self.quantized
+        &self.artifact.quantized
     }
 
     /// The compiled ACE op stream.
     pub fn program(&self) -> &AceProgram {
-        &self.program
+        &self.artifact.program
     }
 
     /// Per-layer normalization divisors applied by RAD.
     pub fn calibration(&self) -> &Calibration {
-        &self.calibration
+        &self.artifact.calibration
     }
 
     /// The board this deployment targets.
@@ -285,11 +316,18 @@ impl Deployment {
 
     /// Decomposes the deployment into its owned parts (the inverse of
     /// [`from_parts`](Self::from_parts), minus the monitor override).
+    /// The built model is moved out when this deployment is its only
+    /// owner and cloned when it is shared with a retargeted copy.
     pub fn into_parts(self) -> (QuantizedModel, AceProgram, Calibration, BoardSpec, Strategy) {
+        let Artifact {
+            quantized,
+            program,
+            calibration,
+        } = Arc::unwrap_or_clone(self.artifact);
         (
-            self.quantized,
-            self.program,
-            self.calibration,
+            quantized,
+            program,
+            calibration,
             self.board_spec,
             self.strategy,
         )
@@ -360,12 +398,8 @@ impl DeploymentBuilder<'_> {
         let quantized = QuantizedModel::from_model(self.model)?;
         let program = AceProgram::compile(&quantized)?;
         Ok(Deployment {
-            quantized,
-            program,
-            calibration,
-            board_spec: self.board,
-            strategy: self.strategy,
             monitor: self.monitor,
+            ..Deployment::from_parts(quantized, program, calibration, self.board, self.strategy)
         })
     }
 }
@@ -516,6 +550,62 @@ mod tests {
         let spec = BoardSpec::Custom(costs.clone());
         assert_eq!(spec.name(), "custom");
         assert_eq!(spec.board().costs(), &costs);
+    }
+
+    #[test]
+    fn retargeting_matches_a_fresh_build_on_every_target() {
+        let (base, data) = har_deployment(Strategy::Flex);
+        let mut costs = CostTable::msp430fr5994();
+        costs.cpu_op_cycles *= 2;
+        let supply = ehdl_ehsim::catalog::bench_supply().supply();
+        for board in [BoardSpec::Msp430Fr5994, BoardSpec::Custom(costs)] {
+            for strategy in Strategy::ALL {
+                let label = format!("{} on {}", strategy, board.name());
+                let mut model = ehdl_nn::zoo::har();
+                let fresh = Deployment::builder(&mut model, &data)
+                    .board(board.clone())
+                    .strategy(strategy)
+                    .build()
+                    .unwrap();
+                let retargeted = base.retarget(board.clone(), strategy);
+                assert!(
+                    std::ptr::eq(base.quantized(), retargeted.quantized()),
+                    "{label}: retargeting must share the built model"
+                );
+                assert_eq!(retargeted.board_spec(), &board, "{label}");
+                assert_eq!(retargeted.strategy(), strategy, "{label}");
+
+                let (mut want, mut got) = (fresh.session(), retargeted.session());
+                assert_eq!(got.program().len(), want.program().len(), "{label}");
+                assert_eq!(
+                    got.program().commit_points(),
+                    want.program().commit_points(),
+                    "{label}"
+                );
+                assert_eq!(got.continuous_cost(), want.continuous_cost(), "{label}");
+                assert_eq!(got.continuous_meter(), want.continuous_meter(), "{label}");
+                assert_eq!(
+                    got.infer_intermittent(&supply),
+                    want.infer_intermittent(&supply),
+                    "{label}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn into_parts_on_a_shared_deployment_returns_equal_owned_parts() {
+        let (d, _) = har_deployment(Strategy::Sonic);
+        let twin = d.retarget(BoardSpec::Msp430Fr5994, Strategy::Tails);
+        let (quantized, program, calibration, board, strategy) = twin.into_parts();
+        assert_eq!(&quantized, d.quantized());
+        assert_eq!(&program, d.program());
+        assert_eq!(&calibration, d.calibration());
+        assert_eq!(board, BoardSpec::Msp430Fr5994);
+        assert_eq!(strategy, Strategy::Tails);
+        // With the twin gone, `d` is the sole owner and moves its parts.
+        let (sole_quantized, ..) = d.into_parts();
+        assert_eq!(sole_quantized, quantized);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! **same tensor shapes and class counts**, which preserves everything
 //! the evaluation actually measures — compute, memory traffic, latency
 //! and energy are functions of the model topology (Table II), not of the
-//! pixel values. Accuracy numbers reported on these sets are flagged as
-//! synthetic in EXPERIMENTS.md (DESIGN.md §2 records the substitution).
+//! pixel values. Accuracy numbers measured on these sets are synthetic,
+//! and the bench binaries that print them (e.g. `table2_models`) say so.
 //!
 //! Generation recipes:
 //!

@@ -59,6 +59,15 @@ impl CacheCounters {
         }
     }
 
+    /// Counts one lookup as a hit or a miss.
+    pub(crate) fn count(&mut self, hit: bool) {
+        if hit {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
+    }
+
     /// Adds `other`'s counters.
     pub fn merge(&mut self, other: &CacheCounters) {
         self.hits += other.hits;
@@ -71,20 +80,25 @@ impl CacheCounters {
 /// The fleet runner's three caches.
 ///
 /// Lookup granularity differs per cache and is part of the contract:
-/// the **deployment** cache is consulted once per scenario, the
-/// **plan** cache once per distinct deployment (plans are shared across
-/// seeds), and the **trace** cache once per run of a
-/// deterministic-environment scenario.
+/// the **deployment** and **plan** caches are each consulted once per
+/// scenario, and the **trace** cache once per run of a
+/// deterministic-environment scenario. Misses stay deterministic at any
+/// worker count (both caches build under their lock); with a tight
+/// [`cache_entries`](crate::FleetBuilder::cache_entries) cap, evicted
+/// built models miss again on their next lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Compiled [`ExecutionPlan`](ehdl::ehsim::ExecutionPlan)s, keyed
-    /// by (workload, board, strategy).
+    /// by (workload, board, strategy, integrity scheme); append-only,
+    /// so never evicted.
     pub plan: CacheCounters,
     /// Recorded [`RunTrace`](ehdl::ehsim::RunTrace)s, keyed by
-    /// (plan, environment, budget).
+    /// (plan, environment, budget, fault schedule).
     pub trace: CacheCounters,
     /// Built [`Deployment`](ehdl::Deployment)s, keyed by
-    /// (workload, board, strategy, seed).
+    /// (workload, seed): one calibrated, quantized and ACE-compiled
+    /// model, [`retarget`](ehdl::Deployment::retarget)ed to each
+    /// scenario's board and strategy.
     pub deployment: CacheCounters,
 }
 

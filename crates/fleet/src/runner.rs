@@ -18,7 +18,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
 
 /// The default [`cache_entries`](FleetBuilder::cache_entries) bound for
-/// the deployment and trace caches — generous enough that every sweep
+/// the built-model and trace caches — generous enough that every sweep
 /// in the repo (and any reasonably shaped matrix) runs eviction-free,
 /// while still capping residency on adversarially wide axes.
 pub(crate) const DEFAULT_CACHE_ENTRIES: usize = 1024;
@@ -78,16 +78,22 @@ impl<V: Clone> Lru<V> {
     }
 }
 
-/// Everything a worker needs for one deployment key, built lazily on
-/// first demand and cached (bounded) across scenarios: the deployment,
-/// its priced accuracy, and its shared execution plan with the plan's
-/// stable slot index (the trace-cache key component).
+/// Everything a worker needs for one scenario: the shared built model
+/// retargeted to the scenario's board and strategy, its priced
+/// accuracy, and its shared execution plan with the plan's stable slot
+/// index (the trace-cache key component).
 struct DeployState {
     deployment: Deployment,
     accuracy: f64,
     plan_slot: usize,
     plan: Arc<ExecutionPlan>,
 }
+
+/// The bounded cache of built models, keyed by the dense (workload,
+/// seed) index: one deployment per key (retargeted per scenario) plus
+/// its accuracy, which depends only on the model and its data slice and
+/// so is priced once per resident entry.
+type ArtifactCache = Mutex<Lru<(Deployment, f64)>>;
 
 /// The bounded cache of recorded deterministic trajectories, keyed by
 /// the dense (plan, environment, budget, fault) index. A rebuilt entry
@@ -122,13 +128,15 @@ type PlanStore = Mutex<
 /// state (e.g. [`DigestSink`](crate::DigestSink)) keep the whole sweep
 /// in O(1) memory, with nothing retained per run.
 ///
-/// Besides sharing each built [`Deployment`] across environments, the
-/// runner compiles one costed [`ExecutionPlan`] per (workload, board,
-/// strategy, integrity scheme) — op costs are program-, board- and
-/// scheme-derived, never data- or environment-derived — and shares it
-/// (via `Arc`) across every
+/// The runner builds each model once per (workload, seed) — RAD's
+/// deployment pass does not depend on board, strategy or integrity
+/// scheme — and [`retarget`](Deployment::retarget)s it per scenario.
+/// It compiles one costed
+/// [`ExecutionPlan`] per (workload, board, strategy, integrity scheme)
+/// — op costs are program-, board- and scheme-derived, never data- or
+/// environment-derived — and shares it (via `Arc`) across every
 /// environment, seed and worker, so a 10k-scenario sweep prices each
-/// distinct program exactly once. Deployments and recorded traces live
+/// distinct program exactly once. Built models and recorded traces live
 /// in **bounded LRU caches** ([`cache_entries`](FleetBuilder::cache_entries)
 /// deep, default 1024): entries are built lazily by the first worker
 /// that needs them, and an evicted entry is rebuilt deterministically
@@ -218,7 +226,7 @@ impl FleetRunner {
     }
 
     /// Sweeps the matrix: fans the scenarios out over the pool (each
-    /// distinct deployment is built once, lazily, by the first worker
+    /// (workload, seed) model is built once, lazily, by the first worker
     /// that needs it) and streams every run into `sink` under the
     /// deterministic fold/merge contract of [`MetricsSink`].
     ///
@@ -238,7 +246,7 @@ impl FleetRunner {
     /// Sweeps one contiguous index range of the matrix into `sink` —
     /// the entry point shard workers use. Scenario indices, fold order
     /// and per-scenario results are identical to the corresponding
-    /// stretch of a whole-matrix sweep; only the range's deployments and
+    /// stretch of a whole-matrix sweep; only the range's models and
     /// plans are built, so memory stays O(range), not O(matrix). Ends
     /// beyond the matrix clamp.
     ///
@@ -339,17 +347,10 @@ impl FleetRunner {
             return sink.finish().map(|report| (report, profile));
         }
 
-        // One deployment per (workload, board, strategy, seed,
-        // integrity scheme), built
-        // lazily by the first worker that needs it and kept in a
-        // bounded LRU (`cache_entries` deep). Accuracy only depends on
-        // the deployment and its data slice, so it is priced at build
-        // time, once per resident entry. Builds happen under the cache
-        // lock: at most one build per key is ever in flight, so lookup
-        // totals stay deterministic at any worker count — and because a
-        // rebuild after eviction is a pure function of the scenario,
-        // eviction never changes any report.
-        let deployments: Mutex<Lru<Arc<DeployState>>> = Mutex::new(Lru::new(self.cache_entries));
+        // One built model per (workload, seed), built lazily under the
+        // cache lock by the first worker that needs it (see
+        // `deploy_scenario`) and kept `cache_entries` deep.
+        let artifacts: ArtifactCache = Mutex::new(Lru::new(self.cache_entries));
 
         // One execution plan per (workload, board, strategy,
         // integrity scheme), shared across seeds too: the lowered op
@@ -401,7 +402,7 @@ impl FleetRunner {
 
         std::thread::scope(|scope| {
             let scenarios = &scenarios;
-            let deployments = &deployments;
+            let artifacts = &artifacts;
             let plans = &plans;
             let traces = &traces;
             let executors = &executors;
@@ -429,39 +430,19 @@ impl FleetRunner {
                         while i >= merged.load(Ordering::Relaxed).saturating_add(window) {
                             std::thread::sleep(std::time::Duration::from_micros(200));
                         }
-                        let deploy = {
-                            let mut cache = deployments.lock().expect("deployment cache lock");
-                            match cache.get(scenario.deployment_key) {
-                                Some(entry) => {
-                                    if let Some(p) = local.as_mut() {
-                                        p.caches.deployment.hits += 1;
-                                    }
-                                    entry
+                        let deploy = match deploy_scenario(
+                            scenario,
+                            matrix,
+                            artifacts,
+                            plans,
+                            local.as_mut(),
+                        ) {
+                            Ok(deploy) => deploy,
+                            Err(e) => {
+                                if tx.send((i, Err(e))).is_err() {
+                                    break;
                                 }
-                                None => {
-                                    // Built while the cache lock is held:
-                                    // at most one build per key is ever in
-                                    // flight, so every key misses exactly
-                                    // once (until evicted) at any worker
-                                    // count.
-                                    if let Some(p) = local.as_mut() {
-                                        p.caches.deployment.misses += 1;
-                                    }
-                                    match build_deploy_state(
-                                        scenario,
-                                        matrix,
-                                        plans,
-                                        local.as_mut(),
-                                    ) {
-                                        Ok(entry) => cache.insert(scenario.deployment_key, entry),
-                                        Err(e) => {
-                                            if tx.send((i, Err(e))).is_err() {
-                                                break;
-                                            }
-                                            continue;
-                                        }
-                                    }
-                                }
+                                continue;
                             }
                         };
                         let trace_key = (!self.reference && !scenario.environment.is_stochastic())
@@ -576,9 +557,9 @@ impl FleetRunner {
             }
             // Residency and eviction counts live in the shared caches,
             // not in any worker's local profile.
-            let deployment_cache = deployments.into_inner().expect("deployment cache lock");
-            p.caches.deployment.entries = deployment_cache.len() as u64;
-            p.caches.deployment.evictions = deployment_cache.evictions();
+            let artifact_cache = artifacts.into_inner().expect("artifact cache lock");
+            p.caches.deployment.entries = artifact_cache.len() as u64;
+            p.caches.deployment.evictions = artifact_cache.evictions();
             p.caches.plan.entries = plans.into_inner().expect("plan cache lock").len() as u64;
             let trace_cache = traces.into_inner().expect("trace cache lock");
             p.caches.trace.entries = trace_cache.len() as u64;
@@ -617,8 +598,10 @@ impl<S: MetricsSink> FleetBuilder<S> {
         self
     }
 
-    /// Bounds the runner's deployment and trace caches to at most
-    /// `entries` resident entries each (clamped to ≥ 1; default 1024).
+    /// Bounds the runner's built-model cache (one entry per (workload,
+    /// seed), shared by every board, strategy and integrity scheme) and
+    /// its trace cache to at most `entries` resident entries each
+    /// (clamped to ≥ 1; default 1024).
     /// Evicted entries are rebuilt deterministically on the next miss,
     /// so a tighter cap trades wall-clock for memory without changing
     /// any report bit. Evictions are counted in the profiled sweep's
@@ -688,26 +671,41 @@ impl FleetBuilder<FullReportSink> {
     }
 }
 
-/// Builds everything one deployment key needs: the deployment, its
-/// priced accuracy, and the shared execution plan — compiled on first
-/// demand, reused from the append-only plan store otherwise. A pure
-/// function of the scenario (and the matrix's calibration), which is
-/// what lets the bounded deployment cache rebuild evicted entries
-/// without changing any report.
-fn build_deploy_state(
+/// Readies one scenario: fetches the (workload, seed) model and its
+/// accuracy, retargets it to the scenario's board and strategy, and
+/// looks up the shared execution plan. Models build under the cache
+/// lock and plans compile under the plan-store lock, so at most one
+/// build per key is in flight and miss counts stay deterministic at any
+/// worker count. A pure function of the scenario (and the matrix's
+/// calibration), which is what lets the bounded cache rebuild evicted
+/// models without changing any report.
+fn deploy_scenario(
     scenario: &Scenario,
     matrix: &ScenarioMatrix,
+    artifacts: &ArtifactCache,
     plans: &PlanStore,
     mut profile: Option<&mut PhaseProfile>,
-) -> Result<Arc<DeployState>, Error> {
-    let data = scenario.workload.dataset(scenario.seed);
-    let mut model = scenario.workload.model();
-    let deployment = Deployment::builder(&mut model, &data)
-        .calibration(matrix.calibration)
-        .board(scenario.board.clone())
-        .strategy(scenario.strategy)
-        .build()?;
-    let accuracy = quantized_accuracy(deployment.quantized(), &data)?;
+) -> Result<DeployState, Error> {
+    let (built, accuracy) = {
+        let mut cache = artifacts.lock().expect("artifact cache lock");
+        let cached = cache.get(scenario.artifact_key);
+        if let Some(p) = profile.as_deref_mut() {
+            p.caches.deployment.count(cached.is_some());
+        }
+        match cached {
+            Some(entry) => entry,
+            None => {
+                let data = scenario.workload.dataset(scenario.seed);
+                let mut model = scenario.workload.model();
+                let deployment = Deployment::builder(&mut model, &data)
+                    .calibration(matrix.calibration)
+                    .build()?;
+                let accuracy = quantized_accuracy(deployment.quantized(), &data)?;
+                cache.insert(scenario.artifact_key, (deployment, accuracy))
+            }
+        }
+    };
+    let deployment = built.retarget(scenario.board.clone(), scenario.strategy);
     let key = (
         scenario.workload,
         scenario.board.clone(),
@@ -715,34 +713,28 @@ fn build_deploy_state(
         scenario.integrity,
     );
     let mut plans = plans.lock().expect("plan cache lock");
-    let (plan_slot, plan) = match plans.iter().position(|(k, _)| *k == key) {
-        Some(slot) => {
-            if let Some(p) = profile.as_deref_mut() {
-                p.caches.plan.hits += 1;
-            }
-            (slot, Arc::clone(&plans[slot].1))
-        }
-        None => {
-            if let Some(p) = profile {
-                p.caches.plan.misses += 1;
-            }
-            let plan = Arc::new(deployment.compile_plan_with_integrity(scenario.integrity));
-            plans.push((key, Arc::clone(&plan)));
-            (plans.len() - 1, plan)
-        }
-    };
-    Ok(Arc::new(DeployState {
+    let slot = plans.iter().position(|(k, _)| *k == key);
+    if let Some(p) = profile {
+        p.caches.plan.count(slot.is_some());
+    }
+    let plan_slot = slot.unwrap_or_else(|| {
+        let plan = deployment.compile_plan_with_integrity(scenario.integrity);
+        plans.push((key, Arc::new(plan)));
+        plans.len() - 1
+    });
+    let plan = Arc::clone(&plans[plan_slot].1);
+    Ok(DeployState {
         deployment,
         accuracy,
         plan_slot,
         plan,
-    }))
+    })
 }
 
 /// Runs one scenario on its shared deployment and shared execution
 /// plan: `runs` intermittent inferences with per-run re-seeding, each
 /// folded into the sink accumulator as a [`RunRecord`] in run order
-/// (accuracy was priced once per deployment by the runner). Every run
+/// (accuracy was priced once per built model by the runner). Every run
 /// consults the scenario's compiled [`FaultPlan`] — the fault-free
 /// axis value compiles to a disabled plan, which executes the exact
 /// pre-fault arithmetic. In `reference` mode the session compiles its
@@ -1208,15 +1200,16 @@ mod tests {
         // The profile is a pure side channel.
         assert_eq!(plain, profiled);
 
-        // Deployments: one per (workload, board, strategy, seed) = 4,
-        // looked up once per scenario (8).
-        assert_eq!(profile.caches.deployment.entries, 4);
-        assert_eq!(profile.caches.deployment.misses, 4);
-        assert_eq!(profile.caches.deployment.hits, 4);
-        // Plans: shared across seeds = 2 entries over 4 lookups.
+        // Built models: one per (workload, seed) = 2, shared by both
+        // strategies, looked up once per scenario (8).
+        assert_eq!(profile.caches.deployment.entries, 2);
+        assert_eq!(profile.caches.deployment.misses, 2);
+        assert_eq!(profile.caches.deployment.hits, 6);
+        // Plans: shared across seeds = 2 entries, also looked up once
+        // per scenario.
         assert_eq!(profile.caches.plan.entries, 2);
         assert_eq!(profile.caches.plan.misses, 2);
-        assert_eq!(profile.caches.plan.hits, 2);
+        assert_eq!(profile.caches.plan.hits, 6);
         // Traces: only the deterministic env records — 2 (plan, env)
         // pairs over 2 seeds × 2 runs = 8 lookups.
         assert_eq!(profile.caches.trace.entries, 2);
@@ -1273,10 +1266,14 @@ mod tests {
                 .unwrap();
             merged.merge(&part);
         }
-        // Counters and span counts reassemble exactly: deployment keys
-        // are contiguous over contiguous ranges, so this split puts one
-        // plan (and its scenarios) wholly in each half.
-        assert_eq!(merged.caches.deployment, whole.caches.deployment);
+        // Lookups and span counts reassemble exactly. Built-model keys
+        // are (workload, seed), not contiguous over ranges: both halves
+        // (one strategy, so one plan, each) build the one model.
+        assert_eq!(
+            merged.caches.deployment.lookups(),
+            whole.caches.deployment.lookups()
+        );
+        assert!(merged.caches.deployment.misses >= whole.caches.deployment.misses);
         assert_eq!(merged.caches.plan, whole.caches.plan);
         assert_eq!(merged.caches.trace.lookups(), whole.caches.trace.lookups());
         for phase in ehdl::ehsim::ExecPhase::ALL {

@@ -98,6 +98,11 @@ pub struct Scenario {
     /// that differ only in environment or energy budget share one built
     /// deployment.
     pub(crate) deployment_key: usize,
+    /// Dense index of this scenario's (workload, seed) pair — the key
+    /// of the runner's built-model cache. Board, strategy and integrity
+    /// scheme only change how the built model is lowered and priced, so
+    /// every scenario of one (workload, seed) shares one build.
+    pub(crate) artifact_key: usize,
     /// Index of this scenario's environment in the matrix's environment
     /// axis — the runner keys its deterministic-run trace cache on
     /// (plan, environment, budget).
@@ -398,11 +403,13 @@ impl ScenarioMatrix {
     /// integrity, fault, budget, environment (innermost). Scenarios
     /// sharing a (workload, board, strategy, seed, integrity) prefix
     /// share a deployment key — dense over the whole matrix, contiguous
-    /// over any contiguous index range — so runners build each
+    /// over any contiguous index range — for benches that build each
     /// deployment (and its integrity-priced plan) once and reuse it
-    /// across every environment, budget, fault schedule and topology. A
-    /// shard worker expands only its own range: memory stays O(shard),
-    /// not O(matrix), however large the sweep.
+    /// across every environment, budget, fault schedule and topology.
+    /// The fleet runner goes further and builds each (workload, seed)
+    /// model once, retargeting it per board and strategy. A shard
+    /// worker expands only its own range: memory stays O(shard), not
+    /// O(matrix), however large the sweep.
     ///
     /// Indices, keys and scenarios are identical to the corresponding
     /// slice of [`scenarios`](Self::scenarios); out-of-bounds ends are
@@ -444,6 +451,7 @@ impl ScenarioMatrix {
                 // write pricing, so each scheme is its own deployment
                 // slot; the composite stays dense and contiguous.
                 deployment_key: (index / (ne * nb * nf * ni * nt)) * ni + integrity_key,
+                artifact_key: workload_i * ns + seed_i,
                 environment_key,
                 budget_key,
                 fault_key,
@@ -483,6 +491,10 @@ mod tests {
         // Keys are dense: first occurrence of key k is at scenario 2k.
         let max_key = s.iter().map(|sc| sc.deployment_key).max().unwrap();
         assert_eq!(max_key, 3);
+        // Built models are keyed by (workload, seed) alone: both
+        // strategies of one seed share one.
+        let artifacts: Vec<usize> = s.iter().map(|sc| sc.artifact_key).collect();
+        assert_eq!(artifacts, [0, 0, 1, 1, 0, 0, 1, 1]);
     }
 
     #[test]
@@ -509,6 +521,7 @@ mod tests {
                 assert_eq!(a.index, b.index);
                 assert_eq!(a.name(), b.name());
                 assert_eq!(a.deployment_key, b.deployment_key);
+                assert_eq!(a.artifact_key, b.artifact_key);
                 assert_eq!(a.environment_key, b.environment_key);
                 assert_eq!(a.budget_key, b.budget_key);
                 assert_eq!(a.energy_budget_nj, b.energy_budget_nj);

@@ -50,7 +50,7 @@ fn fig7a_orderings_hold_on_all_models() {
 fn fig7a_magnitudes_are_in_band() {
     // Paper: ACE+FLEX vs SONIC = 4x (MNIST), 5.7x (HAR), 3.3x (OKG).
     //
-    // Reproduction note (EXPERIMENTS.md): our baselines evaluate the
+    // Reproduction note: our baselines evaluate the
     // compressed FC layers by *direct circulant* loops (the only
     // memory-feasible software execution — dense OKG FC weights would
     // not fit the 256 KB FRAM), which costs the full `in×out` MAC count.
@@ -105,8 +105,8 @@ fn speedup_grows_with_fc_fraction() {
     // software baseline must grow with the workload's FC share:
     // MNIST (conv-dominated) < HAR < OKG (almost all FC). The paper
     // shows the same MNIST-vs-HAR ordering; its OKG column is smaller,
-    // which no memory-feasible baseline cost model reproduces — see
-    // EXPERIMENTS.md.
+    // which no memory-feasible baseline cost model reproduces — see the
+    // reproduction note in `fig7a_magnitudes_are_in_band`.
     let mnist = speedup(&comparison(ehdl::nn::zoo::mnist()), "SONIC");
     let har = speedup(&comparison(ehdl::nn::zoo::har()), "SONIC");
     let okg = speedup(&comparison(ehdl::nn::zoo::okg()), "SONIC");

@@ -277,15 +277,18 @@ fn default_fault_axis_leaves_sweeps_unchanged() {
 }
 
 /// Cache pressure cannot move results: squeezing the runner's
-/// deployment and trace caches down to one entry forces evictions and
+/// built-model and trace caches down to one entry forces evictions and
 /// deterministic rebuilds, and the digest stays bit-identical to an
-/// uncapped sweep at every worker count.
+/// uncapped sweep at every worker count. Built models are keyed by
+/// (workload, seed), so two seeds — alternating as the strategy axis
+/// advances — make a one-entry cache evict.
 #[test]
 fn lru_evictions_leave_the_digest_bit_identical() {
     let matrix = ScenarioMatrix::new()
         .environments(catalog::all())
         .strategies(vec![Strategy::Sonic, Strategy::Flex])
         .workloads(vec![Workload::Har { samples: 6 }])
+        .seeds(vec![0, 1])
         .executor(quick_executor());
     let uncapped = FleetRunner::builder()
         .workers(2)

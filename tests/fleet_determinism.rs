@@ -331,9 +331,10 @@ fn profiled_sweeps_leave_every_sink_bit_identical() {
         assert_eq!(plain.to_string(), profiled.to_string(), "{workers} workers");
         assert!(profile.total_seconds() > 0.0, "{workers} workers");
         // The deployment cache is consulted exactly once per scenario;
-        // the 48 scenarios share 6 strategies × 2 boards = 12 builds.
+        // the 48 scenarios (6 strategies × 2 boards, one workload and
+        // seed) share a single built model.
         assert_eq!(profile.caches.deployment.lookups(), 48, "{workers} workers");
-        assert_eq!(profile.caches.deployment.entries, 12, "{workers} workers");
+        assert_eq!(profile.caches.deployment.entries, 1, "{workers} workers");
     }
 
     // Row streams: byte-identical with profiling on.
