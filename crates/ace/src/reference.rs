@@ -66,20 +66,84 @@ pub fn forward_trace(
     input: &[Q15],
     stats: &mut OverflowStats,
 ) -> Result<Vec<Vec<Q15>>, AceError> {
-    if input.len() != model.input_len() {
-        return Err(AceError::BadInput {
-            expected: model.input_len(),
-            got: input.len(),
-        });
+    PreparedModel::new(model)?.forward_trace(input, stats)
+}
+
+/// A quantized model ready for many reference passes: each BCM layer's
+/// FFT plan and weight spectra are computed once, so a pass transforms
+/// only its inputs. Outputs and saturation counts are those of
+/// [`forward_trace`], which prepares a model per call.
+#[derive(Debug, Clone)]
+pub struct PreparedModel<'m> {
+    model: &'m QuantizedModel,
+    /// Per layer: the weight spectra of a BCM layer, `None` otherwise.
+    spectra: Vec<Option<BcmSpectra>>,
+}
+
+impl<'m> PreparedModel<'m> {
+    /// Transforms every BCM weight block of `model`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AceError::Fft`] if a BCM block size is invalid.
+    pub fn new(model: &'m QuantizedModel) -> Result<Self, AceError> {
+        let spectra = model
+            .layers()
+            .iter()
+            .map(|layer| match layer {
+                QLayer::BcmDense(d) => BcmSpectra::new(d).map(Some),
+                _ => Ok(None),
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(PreparedModel { model, spectra })
     }
-    let mut acts: Vec<Vec<Q15>> = vec![input.to_vec()];
-    for (i, layer) in model.layers().iter().enumerate() {
-        let in_shape = model.layer_input_shape(i);
-        let x = acts.last().expect("non-empty");
-        let y = layer_forward(layer, x, in_shape, stats)?;
-        acts.push(y);
+
+    /// Forward pass counting fixed-point saturations, returning the
+    /// logits (see [`forward_with_stats`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AceError::BadInput`] on input length mismatch.
+    pub fn forward_with_stats(
+        &self,
+        input: &[Q15],
+        stats: &mut OverflowStats,
+    ) -> Result<Vec<Q15>, AceError> {
+        Ok(self
+            .forward_trace(input, stats)?
+            .pop()
+            .expect("trace contains at least the input"))
     }
-    Ok(acts)
+
+    /// Forward pass retaining every layer activation (see
+    /// [`forward_trace`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AceError::BadInput`] on input length mismatch.
+    pub fn forward_trace(
+        &self,
+        input: &[Q15],
+        stats: &mut OverflowStats,
+    ) -> Result<Vec<Vec<Q15>>, AceError> {
+        let model = self.model;
+        if input.len() != model.input_len() {
+            return Err(AceError::BadInput {
+                expected: model.input_len(),
+                got: input.len(),
+            });
+        }
+        let mut acts: Vec<Vec<Q15>> = vec![input.to_vec()];
+        for (i, (layer, spectra)) in model.layers().iter().zip(&self.spectra).enumerate() {
+            let x = acts.last().expect("non-empty");
+            let y = match (layer, spectra) {
+                (QLayer::BcmDense(d), Some(spectra)) => spectra.forward(d, x, stats)?,
+                _ => layer_forward(layer, x, model.layer_input_shape(i), stats)?,
+            };
+            acts.push(y);
+        }
+        Ok(acts)
+    }
 }
 
 /// Applies one quantized layer.
@@ -118,22 +182,25 @@ pub fn conv_forward(
     let (oh, ow) = (ih - c.kh + 1, iw - c.kw + 1);
     let klen = c.kept.len();
     let mut out = vec![Q15::ZERO; c.out_ch * oh * ow];
-    // Decode kept positions once.
-    let coords: Vec<(usize, usize, usize)> = c
+    // Input offset of each kept position from the window's top-left
+    // element, decoded once.
+    let offsets: Vec<usize> = c
         .kept
         .iter()
         .map(|&k| {
             let k = k as usize;
-            (k / (c.kh * c.kw), (k / c.kw) % c.kh, k % c.kw)
+            let (ch, u, v) = (k / (c.kh * c.kw), (k / c.kw) % c.kh, k % c.kw);
+            (ch * ih + u) * iw + v
         })
         .collect();
-    for o in 0..c.out_ch {
+    for (o, plane) in out.chunks_exact_mut(oh * ow).enumerate() {
         let wrow = &c.weights[o * klen..(o + 1) * klen];
-        for i in 0..oh {
-            for j in 0..ow {
+        for (i, row) in plane.chunks_exact_mut(ow).enumerate() {
+            for (j, out_v) in row.iter_mut().enumerate() {
+                let window = &x[i * iw + j..];
                 let mut acc = MacAcc::from_q15(c.bias[o]);
-                for (&w, &(ch, u, v)) in wrow.iter().zip(&coords) {
-                    acc.mac(w, x[(ch * ih + i + u) * iw + (j + v)]);
+                for (&w, &off) in wrow.iter().zip(&offsets) {
+                    acc.mac(w, window[off]);
                 }
                 let (q, sat) = acc.overflowing_to_q15();
                 if sat {
@@ -141,7 +208,7 @@ pub fn conv_forward(
                 } else {
                     stats.record_ok();
                 }
-                out[(o * oh + i) * ow + j] = q;
+                *out_v = q;
             }
         }
     }
@@ -198,29 +265,66 @@ pub fn bcm_forward(
     x: &[Q15],
     stats: &mut OverflowStats,
 ) -> Result<Vec<Q15>, AceError> {
-    let b = d.block;
-    let shift = b.trailing_zeros();
-    let plan = FftPlan::new(b)?;
+    BcmSpectra::new(d)?.forward(d, x, stats)
+}
 
-    // Zero-pad the input to the block grid.
-    let mut xp = vec![Q15::ZERO; d.cols_b * b];
-    xp[..d.in_dim].copy_from_slice(x);
+/// A BCM layer's FFT plan and weight spectra (`W/N` per block, grid
+/// row-major) — input-independent, so computed once per model.
+#[derive(Debug, Clone)]
+struct BcmSpectra {
+    plan: FftPlan,
+    blocks: Vec<Vec<ComplexQ15>>,
+}
 
-    let mut out = vec![Q15::ZERO; d.out_dim];
-    for rb in 0..d.rows_b {
-        // Wide accumulator holding y_rb / N across column blocks.
-        let mut acc = vec![MacAcc::ZERO; b];
-        for cb in 0..d.cols_b {
-            let xblk = &xp[cb * b..(cb + 1) * b];
-            let y_over_n = bcm_block_matvec(&plan, &d.blocks[rb * d.cols_b + cb], xblk, stats)?;
-            for (a, &v) in acc.iter_mut().zip(&y_over_n) {
-                *a += MacAcc::from_q15(v);
-            }
-        }
-        // Bias joins at the same 1/N scale, then SCALE-UP by N.
-        bcm_row_finalize(&acc, &d.bias, rb * b, &mut out, shift, stats);
+impl BcmSpectra {
+    fn new(d: &QBcmDense) -> Result<Self, AceError> {
+        let plan = FftPlan::new(d.block)?;
+        let blocks = d
+            .blocks
+            .iter()
+            .map(|w| plan.fft_real(w))
+            .collect::<Result<_, _>>()?;
+        Ok(BcmSpectra { plan, blocks })
     }
-    Ok(out)
+
+    /// [`bcm_block_matvec`] for every block, row blocks accumulated in
+    /// wide registers; each input column block is transformed once and
+    /// shared by every row block.
+    fn forward(
+        &self,
+        d: &QBcmDense,
+        x: &[Q15],
+        stats: &mut OverflowStats,
+    ) -> Result<Vec<Q15>, AceError> {
+        let b = d.block;
+        let shift = b.trailing_zeros();
+
+        // Zero-pad the input to the block grid, then X/N per column block.
+        let mut xp = vec![Q15::ZERO; d.cols_b * b];
+        xp[..d.in_dim].copy_from_slice(x);
+        let fx = xp
+            .chunks_exact(b)
+            .map(|blk| self.plan.fft_real(blk))
+            .collect::<Result<Vec<_>, _>>()?;
+
+        let mut out = vec![Q15::ZERO; d.out_dim];
+        let mut acc = vec![MacAcc::ZERO; b];
+        for rb in 0..d.rows_b {
+            // Wide accumulator holding y_rb / N across column blocks.
+            acc.fill(MacAcc::ZERO);
+            let fw_row = &self.blocks[rb * d.cols_b..(rb + 1) * d.cols_b];
+            for (fxb, fw) in fx.iter().zip(fw_row) {
+                let mut z = bcm_freq_mul(fxb, fw, shift, stats);
+                self.plan.ifft(&mut z)?; // IDFT(Z/N) = y/N
+                for (a, v) in acc.iter_mut().zip(&z) {
+                    *a += MacAcc::from_q15(v.real());
+                }
+            }
+            // Bias joins at the same 1/N scale, then SCALE-UP by N.
+            bcm_row_finalize(&acc, &d.bias, rb * b, &mut out, shift, stats);
+        }
+        Ok(out)
+    }
 }
 
 /// One circulant block through `FFT → wide CMPY (+N recovery) → IFFT`,
@@ -441,6 +545,121 @@ mod tests {
         // Xavier weights on 25-long windows stay in range; only
         // quantization noise remains.
         assert!(max_err < 0.01, "max_err {max_err}");
+    }
+
+    /// The direct layer loops, kept as bit-exact oracles of the fast
+    /// kernels: the convolution decodes `(ch, u, v)` per tap, and the BCM
+    /// layer runs [`bcm_block_matvec`] per block, transforming both
+    /// operands every time.
+    fn conv_forward_oracle(
+        c: &QConv2d,
+        x: &[Q15],
+        in_shape: &[usize],
+        stats: &mut OverflowStats,
+    ) -> Vec<Q15> {
+        let (ih, iw) = (in_shape[1], in_shape[2]);
+        let (oh, ow) = (ih - c.kh + 1, iw - c.kw + 1);
+        let klen = c.kept.len();
+        let mut out = Vec::with_capacity(c.out_ch * oh * ow);
+        for o in 0..c.out_ch {
+            for i in 0..oh {
+                for j in 0..ow {
+                    let mut acc = MacAcc::from_q15(c.bias[o]);
+                    for (t, &k) in c.kept.iter().enumerate() {
+                        let k = k as usize;
+                        let (ch, u, v) = (k / (c.kh * c.kw), (k / c.kw) % c.kh, k % c.kw);
+                        acc.mac(c.weights[o * klen + t], x[(ch * ih + i + u) * iw + (j + v)]);
+                    }
+                    let (q, sat) = acc.overflowing_to_q15();
+                    if sat {
+                        stats.record_saturation();
+                    } else {
+                        stats.record_ok();
+                    }
+                    out.push(q);
+                }
+            }
+        }
+        out
+    }
+
+    fn bcm_forward_oracle(d: &QBcmDense, x: &[Q15], stats: &mut OverflowStats) -> Vec<Q15> {
+        let b = d.block;
+        let plan = FftPlan::new(b).unwrap();
+        let mut xp = vec![Q15::ZERO; d.cols_b * b];
+        xp[..d.in_dim].copy_from_slice(x);
+        let mut out = vec![Q15::ZERO; d.out_dim];
+        for rb in 0..d.rows_b {
+            let mut acc = vec![MacAcc::ZERO; b];
+            for cb in 0..d.cols_b {
+                let xblk = &xp[cb * b..(cb + 1) * b];
+                let w = &d.blocks[rb * d.cols_b + cb];
+                let y_over_n = bcm_block_matvec(&plan, w, xblk, stats).unwrap();
+                for (a, &v) in acc.iter_mut().zip(&y_over_n) {
+                    *a += MacAcc::from_q15(v);
+                }
+            }
+            bcm_row_finalize(&acc, &d.bias, rb * b, &mut out, b.trailing_zeros(), stats);
+        }
+        out
+    }
+
+    fn forward_oracle(
+        model: &QuantizedModel,
+        input: &[Q15],
+        stats: &mut OverflowStats,
+    ) -> Vec<Q15> {
+        let mut x = input.to_vec();
+        for (i, layer) in model.layers().iter().enumerate() {
+            let in_shape = model.layer_input_shape(i);
+            x = match layer {
+                QLayer::Conv2d(c) => conv_forward_oracle(c, &x, in_shape, stats),
+                QLayer::BcmDense(d) => bcm_forward_oracle(d, &x, stats),
+                other => layer_forward(other, &x, in_shape, stats).unwrap(),
+            };
+        }
+        x
+    }
+
+    #[test]
+    fn fast_kernels_are_bit_identical_to_the_direct_loops() {
+        // A padded BCM grid next to the zoo's layers.
+        let mut rng = WeightRng::new(5);
+        let padded = ehdl_nn::Model::builder("padded", &[10])
+            .layer(ehdl_nn::Layer::BcmDense(ehdl_nn::BcmDense::new(
+                10, 6, 4, &mut rng,
+            )))
+            .build()
+            .unwrap();
+        // Uncalibrated weights saturate, so the counts are exercised too.
+        let mut saturated = false;
+        for model in [zoo::mnist(), zoo::har(), zoo::okg(), padded] {
+            let qm = QuantizedModel::from_model(&model).unwrap();
+            let prepared = PreparedModel::new(&qm).unwrap();
+            for seed in 0..2u64 {
+                let x: Vec<Q15> = (0..qm.input_len())
+                    .map(|i| {
+                        Q15::from_raw(
+                            (((i as u64 * 7919 + seed * 104_729) % 65_536) as i32 - 32_768) as i16,
+                        )
+                    })
+                    .collect();
+                let mut want_stats = OverflowStats::new();
+                let want = forward_oracle(&qm, &x, &mut want_stats);
+                let mut got_stats = OverflowStats::new();
+                let got = forward_with_stats(&qm, &x, &mut got_stats).unwrap();
+                assert_eq!(got, want, "{} seed {seed}", model.name());
+                assert_eq!(got_stats, want_stats, "{} seed {seed}", model.name());
+                let mut prepared_stats = OverflowStats::new();
+                let again = prepared
+                    .forward_with_stats(&x, &mut prepared_stats)
+                    .unwrap();
+                assert_eq!(again, want, "{} seed {seed} (prepared)", model.name());
+                assert_eq!(prepared_stats, want_stats, "{} seed {seed}", model.name());
+                saturated |= want_stats.any();
+            }
+        }
+        assert!(saturated);
     }
 
     #[test]

@@ -30,7 +30,7 @@ use ehdl_compress::normalize::{self, Calibration};
 use ehdl_datasets::Dataset;
 use ehdl_device::{Board, CostTable, VoltageMonitor};
 use ehdl_ehsim::{ExecutionPlan, Integrity, Program};
-use ehdl_fixed::Q15;
+use ehdl_fixed::{OverflowStats, Q15};
 use ehdl_flex::strategies;
 use ehdl_nn::{Model, Tensor};
 use std::sync::Arc;
@@ -40,13 +40,18 @@ use std::sync::Arc;
 pub struct CalibrationConfig {
     /// How many dataset samples to run forward during calibration.
     pub samples: usize,
-    /// The per-layer range percentile mapped to full scale (`(0, 1]`;
-    /// `1.0` calibrates on the absolute maximum).
+    /// The headroom target, in `(0, 1]`: calibration divides each
+    /// parametric layer's weights so the largest activation magnitude
+    /// observed on the calibration samples maps to `±percentile` (layers
+    /// already inside it keep their weights). No percentile of the
+    /// activation distribution is taken: `1.0` maps the observed
+    /// max-abs to full scale, `0.9` leaves 10% headroom.
     pub percentile: f32,
 }
 
 impl Default for CalibrationConfig {
-    /// The paper-bench recipe: 32 samples at the 0.9 percentile.
+    /// The paper-bench recipe: 32 samples, observed maxima mapped to
+    /// `±0.9`.
     fn default() -> Self {
         CalibrationConfig {
             samples: 32,
@@ -347,7 +352,8 @@ pub struct DeploymentBuilder<'a> {
 }
 
 impl DeploymentBuilder<'_> {
-    /// Sets the calibration recipe (default: 32 samples, 0.9 percentile).
+    /// Sets the calibration recipe (default: 32 samples, observed maxima
+    /// mapped to `±0.9`).
     pub fn calibration(mut self, config: CalibrationConfig) -> Self {
         self.calibration = config;
         self
@@ -437,10 +443,13 @@ pub fn quantized_accuracy(quantized: &QuantizedModel, data: &Dataset) -> Result<
     if data.is_empty() {
         return Ok(0.0);
     }
+    // Weight spectra are transformed once for the whole pass.
+    let prepared = reference::PreparedModel::new(quantized)?;
+    let mut overflow = OverflowStats::new();
     let mut correct = 0usize;
     for s in data.samples() {
         let x = quantize_input(&s.input);
-        let logits = reference::forward(quantized, &x)?;
+        let logits = prepared.forward_with_stats(&x, &mut overflow)?;
         if reference::argmax(&logits) == s.label {
             correct += 1;
         }

@@ -13,23 +13,62 @@ use crate::{FftError, FftPlan};
 use ehdl_fixed::{ComplexQ15, MacAcc, Q15};
 
 /// Direct `O(n²)` circulant matvec in double precision:
-/// `y[i] = Σ_j c[(i-j) mod n] · x[j]`.
+/// `y[i] = Σ_j c[(i-j) mod n] · x[j]`, each sum taken in ascending `j`.
 ///
 /// # Panics
 ///
 /// Panics if `c` and `x` lengths differ.
 pub fn matvec_f64(c: &[f64], x: &[f64]) -> Vec<f64> {
-    assert_eq!(c.len(), x.len(), "circulant dimension mismatch");
-    let n = c.len();
-    let mut y = vec![0.0; n];
-    for (i, yi) in y.iter_mut().enumerate() {
-        let mut acc = 0.0;
-        for (j, &xj) in x.iter().enumerate() {
-            acc += c[(n + i - j) % n] * xj;
-        }
-        *yi = acc;
-    }
+    let mut y = vec![0.0; c.len()];
+    matvec_add_f64(c, x, &mut y, &mut Vec::new());
     y
+}
+
+/// Rows summed per pass over `x` in [`matvec_add_f64`].
+const ROWS: usize = 16;
+
+/// Adds the direct circulant product to `y`:
+/// `y[i] += Σ_j c[(i-j) mod n] · x[j]`. Each sum runs in ascending `j`
+/// in its own accumulator before it joins `y[i]`, so the result is bit
+/// for bit that of adding [`matvec_f64`]'s output. The column may be any
+/// float type that widens to `f64` (BCM layers store `f32`).
+///
+/// The column is laid out doubled, `cc[t] = c[t mod n]`, so element
+/// `(i, j)` is `cc[n + i - j]` with no modulo, and at column `j` the rows
+/// `i..i + ROWS` read one ascending window `cc[n + i - j..]`. Those rows
+/// share one pass over `x`, each with its own accumulator. `cc` is
+/// scratch space: a buffer reused across calls saves the allocation.
+///
+/// # Panics
+///
+/// Panics if `c`, `x` and `y` lengths differ.
+pub fn matvec_add_f64<T: Copy + Into<f64>>(c: &[T], x: &[f64], y: &mut [f64], cc: &mut Vec<f64>) {
+    assert_eq!(c.len(), x.len(), "circulant dimension mismatch");
+    assert_eq!(c.len(), y.len(), "circulant dimension mismatch");
+    let n = c.len();
+    cc.clear();
+    cc.extend(c.iter().chain(c).map(|&v| v.into()));
+    let mut i = 0;
+    while i + ROWS <= n {
+        let mut acc = [0.0f64; ROWS];
+        for (j, &xj) in x.iter().enumerate() {
+            let window = &cc[n + i - j..n + i - j + ROWS];
+            for (a, &w) in acc.iter_mut().zip(window) {
+                *a += w * xj;
+            }
+        }
+        for (yi, a) in y[i..i + ROWS].iter_mut().zip(acc) {
+            *yi += a;
+        }
+        i += ROWS;
+    }
+    for (i, yi) in y.iter_mut().enumerate().skip(i) {
+        let mut acc = 0.0;
+        for (&w, &xj) in cc[i + 1..=n + i].iter().rev().zip(x) {
+            acc += w * xj;
+        }
+        *yi += acc;
+    }
 }
 
 /// FFT-based `O(n log n)` circulant matvec in double precision.
@@ -123,6 +162,55 @@ mod tests {
 
     fn q(v: f32) -> Q15 {
         Q15::from_f32(v)
+    }
+
+    /// The textbook modulo-indexed loop, kept as the bit-exact oracle of
+    /// the fast kernel.
+    fn matvec_f64_oracle(c: &[f64], x: &[f64]) -> Vec<f64> {
+        let n = c.len();
+        let mut y = vec![0.0; n];
+        for (i, yi) in y.iter_mut().enumerate() {
+            let mut acc = 0.0;
+            for (j, &xj) in x.iter().enumerate() {
+                acc += c[(n + i - j) % n] * xj;
+            }
+            *yi = acc;
+        }
+        y
+    }
+
+    #[test]
+    fn matvec_f64_is_bit_identical_to_the_modulo_loop() {
+        // Sizes below and at multiples of the row unroll, with tails.
+        for n in [1usize, 2, 3, 5, 7, 64, 128, 256] {
+            let c: Vec<f64> = (0..n)
+                .map(|i| ((i * 37 % 101) as f64 - 50.0) / 33.3)
+                .collect();
+            let x: Vec<f64> = (0..n)
+                .map(|i| ((i * 53 % 97) as f64 - 48.0) / 17.1)
+                .collect();
+            let want = matvec_f64_oracle(&c, &x);
+            let got = matvec_f64(&c, &x);
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(g.to_bits(), w.to_bits(), "n={n} row {i}: {g} vs {w}");
+            }
+            // Accumulating onto a running sum adds each row's fresh sum,
+            // whatever the column's float type.
+            let c32: Vec<f32> = c.iter().map(|&v| v as f32).collect();
+            let c32_wide: Vec<f64> = c32.iter().map(|&v| f64::from(v)).collect();
+            let base: Vec<f64> = (0..n).map(|i| i as f64 * 0.37 - 1.0).collect();
+            let mut y = base.clone();
+            let mut scratch = vec![9.0; 3];
+            matvec_add_f64(&c32, &x, &mut y, &mut scratch);
+            let want32 = matvec_f64_oracle(&c32_wide, &x);
+            for i in 0..n {
+                assert_eq!(
+                    y[i].to_bits(),
+                    (base[i] + want32[i]).to_bits(),
+                    "n={n} row {i}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -149,31 +149,36 @@ impl Conv2d {
             });
         }
         let (oh, ow) = (ih - self.kh + 1, iw - self.kw + 1);
-        let mut out = Tensor::zeros(&[self.out_ch, oh, ow]);
         let xs = x.as_slice();
         let per_filter = self.in_ch * self.kh * self.kw;
-        for o in 0..self.out_ch {
-            for i in 0..oh {
-                for j in 0..ow {
-                    let mut acc = self.bias[o];
-                    for c in 0..self.in_ch {
-                        for u in 0..self.kh {
-                            for v in 0..self.kw {
-                                let k = (c * self.kh + u) * self.kw + v;
-                                if !self.kernel_mask[k] {
-                                    continue;
-                                }
-                                let w = self.weights[o * per_filter + k];
-                                let xv = xs[(c * ih + i + u) * iw + (j + v)];
-                                acc += w * xv;
-                            }
-                        }
+        // Kept taps in (c, u, v) order: the weight index within a filter
+        // and the input offset from the window's top-left element.
+        let mut taps = Vec::with_capacity(per_filter);
+        for c in 0..self.in_ch {
+            for u in 0..self.kh {
+                for v in 0..self.kw {
+                    let k = (c * self.kh + u) * self.kw + v;
+                    if self.kernel_mask[k] {
+                        taps.push((k, (c * ih + u) * iw + v));
                     }
-                    out.set(&[o, i, j], acc);
                 }
             }
         }
-        Ok(out)
+        let mut out = vec![0.0f32; self.out_ch * oh * ow];
+        for (o, plane) in out.chunks_exact_mut(oh * ow).enumerate() {
+            let filter = &self.weights[o * per_filter..(o + 1) * per_filter];
+            for (i, row) in plane.chunks_exact_mut(ow).enumerate() {
+                for (j, out_v) in row.iter_mut().enumerate() {
+                    let window = &xs[i * iw + j..];
+                    let mut acc = self.bias[o];
+                    for &(k, off) in &taps {
+                        acc += filter[k] * window[off];
+                    }
+                    *out_v = acc;
+                }
+            }
+        }
+        Tensor::from_vec(out, &[self.out_ch, oh, ow])
     }
 }
 
@@ -393,18 +398,11 @@ impl BcmDense {
             *d = *s as f64;
         }
         let mut yp = vec![0.0f64; self.rows_b * self.block];
-        for rb in 0..self.rows_b {
-            let yslice = &mut yp[rb * self.block..(rb + 1) * self.block];
-            for cb in 0..self.cols_b {
-                let w: Vec<f64> = self.blocks[rb * self.cols_b + cb]
-                    .iter()
-                    .map(|&v| v as f64)
-                    .collect();
-                let xblk = &xp[cb * self.block..(cb + 1) * self.block];
-                let prod = ehdl_dsp::circulant::matvec_f64(&w, xblk);
-                for (y, p) in yslice.iter_mut().zip(&prod) {
-                    *y += p;
-                }
+        let mut scratch = Vec::with_capacity(2 * self.block);
+        for (rb, yslice) in yp.chunks_exact_mut(self.block).enumerate() {
+            for (cb, xblk) in xp.chunks_exact(self.block).enumerate() {
+                let w = &self.blocks[rb * self.cols_b + cb];
+                ehdl_dsp::circulant::matvec_add_f64(w, xblk, yslice, &mut scratch);
             }
         }
         let out: Vec<f32> = yp[..self.out_dim]
@@ -701,6 +699,67 @@ mod tests {
         let x = Tensor::zeros(&[6, 8, 8]);
         let out = c.forward(&x).unwrap();
         assert_eq!(out.shape(), &[16, 4, 4]);
+    }
+
+    /// The textbook nested loop over (c, u, v) with masked positions
+    /// skipped, kept as the bit-exact oracle of the fast forward.
+    fn conv_forward_oracle(conv: &Conv2d, x: &Tensor) -> Vec<f32> {
+        let (ih, iw) = (x.shape()[1], x.shape()[2]);
+        let (oh, ow) = (ih - conv.kh + 1, iw - conv.kw + 1);
+        let per_filter = conv.in_ch * conv.kh * conv.kw;
+        let xs = x.as_slice();
+        let mut out = Vec::with_capacity(conv.out_ch * oh * ow);
+        for o in 0..conv.out_ch {
+            for i in 0..oh {
+                for j in 0..ow {
+                    let mut acc = conv.bias[o];
+                    for c in 0..conv.in_ch {
+                        for u in 0..conv.kh {
+                            for v in 0..conv.kw {
+                                let k = (c * conv.kh + u) * conv.kw + v;
+                                if conv.kernel_mask[k] {
+                                    let xv = xs[(c * ih + i + u) * iw + (j + v)];
+                                    acc += conv.weights[o * per_filter + k] * xv;
+                                }
+                            }
+                        }
+                    }
+                    out.push(acc);
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn conv_forward_is_bit_identical_to_the_nested_loop() {
+        let mut r = rng();
+        let mut masked = Conv2d::new(16, 6, 5, 5, &mut r);
+        masked.set_kernel_mask((0..6 * 5 * 5).map(|k| k % 2 == 0).collect());
+        let mut biased = Conv2d::new(32, 1, 1, 12, &mut r);
+        for (o, b) in biased.bias_mut().iter_mut().enumerate() {
+            *b = o as f32 * 0.01 - 0.1;
+        }
+        for (label, conv, shape) in [
+            ("dense 5x5", Conv2d::new(6, 1, 5, 5, &mut r), [1, 28, 28]),
+            ("checkerboard-masked", masked, [6, 12, 11]),
+            ("biased 1x12", biased, [1, 1, 121]),
+        ] {
+            let len: usize = shape.iter().product();
+            let x = Tensor::from_vec(
+                (0..len)
+                    .map(|i| ((i * 29 % 53) as f32 - 26.0) / 9.0)
+                    .collect(),
+                &shape,
+            )
+            .unwrap();
+            let got = conv.forward(&x).unwrap();
+            let want = conv_forward_oracle(&conv, &x);
+            assert_eq!(got.len(), want.len());
+            for (k, (g, w)) in got.as_slice().iter().zip(&want).enumerate() {
+                assert_eq!(g.to_bits(), w.to_bits(), "{label} conv, output {k}");
+            }
+        }
     }
 
     #[test]
