@@ -267,6 +267,52 @@ impl<'d> DeviceSession<'d> {
         executor.run_plan_faulted_traced_probed(&self.plan, &mut self.board, supply, fault, probe)
     }
 
+    /// Two intermittent runs under one seeded [`FaultPlan`], executed in
+    /// lockstep through [`IntermittentExecutor::run_plan_pair`] so the
+    /// host overlaps them. The first runs under `supplies[0]` on this
+    /// session's board, observed by `probes.0`; the second runs under
+    /// `supplies[1]`, observed by `probes.1`.
+    ///
+    /// Without a `partner`, both runs land on this session's board back
+    /// to back, exactly as two
+    /// [`infer_intermittent_faulted_probed`](Self::infer_intermittent_faulted_probed)
+    /// calls would leave it. The second runs on a scratch copy of the
+    /// board, and its recorded trace is replayed here after the first.
+    /// With a `partner` session running the same plan, the second run
+    /// goes on the partner's board instead, and nothing is replayed.
+    /// Either way, both reports are bit-identical to the solo calls.
+    pub fn infer_intermittent_pair<PA: ExecProbe, PB: ExecProbe>(
+        &mut self,
+        partner: Option<&mut DeviceSession<'_>>,
+        executor: &IntermittentExecutor,
+        supplies: [&mut PowerSupply; 2],
+        fault: &FaultPlan,
+        probes: (&mut PA, &mut PB),
+    ) -> [RunReport; 2] {
+        let [supply_a, supply_b] = supplies;
+        let (probe_a, probe_b) = probes;
+        let a = (&mut self.board, supply_a, probe_a);
+        match partner {
+            Some(partner) => {
+                debug_assert!(
+                    Arc::ptr_eq(&self.plan, &partner.plan) || self.plan == partner.plan,
+                    "a partner session must run the same plan"
+                );
+                let b = (&mut partner.board, supply_b, probe_b);
+                let (a, b, _) = executor.run_plan_pair(&self.plan, fault, a, b, false);
+                [a, b]
+            }
+            None => {
+                let mut scratch = a.0.clone();
+                let b = (&mut scratch, supply_b, probe_b);
+                let (a, _, trace) = executor.run_plan_pair(&self.plan, fault, a, b, true);
+                let trace = trace.expect("the pair recorded the second run");
+                let b = executor.replay_trace(&self.plan, &trace, &mut self.board);
+                [a, b]
+            }
+        }
+    }
+
     /// Replays a [`RunTrace`] recorded from this session's plan under a
     /// deterministic supply and the same executor configuration: the
     /// board's meter and clock advance exactly as a live run would, and

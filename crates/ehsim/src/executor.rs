@@ -1,14 +1,14 @@
 //! The intermittent executor: programs vs. the capacitor.
 
 use crate::fault::{FaultKind, FaultPlan, FaultState, FaultTally, OpFault};
-use crate::harvester::Harvester;
+use crate::harvester::{Harvester, SlotMemo};
 use crate::integrity::{self, Integrity, IntegrityState, IntegrityTally, WearCurve};
 use crate::plan::ExecutionPlan;
 use crate::probe::{ExecEvent, ExecPhase, ExecProbe, NullProbe, SpanTimer};
 use crate::program::Program;
 use crate::{Capacitor, PowerSupply};
 use core::fmt;
-use ehdl_device::{Board, Component, Cost, Cycles, DeviceOp, Energy, EnergyMeter};
+use ehdl_device::{Board, Component, Cost, Cycles, DeviceOp, Energy, EnergyMeter, VoltageMonitor};
 
 /// Tunables for an intermittent run.
 #[derive(Debug, Clone, PartialEq)]
@@ -333,10 +333,17 @@ impl IntermittentExecutor {
     /// Replays a compiled [`ExecutionPlan`] on `board` powered by
     /// `supply`.
     ///
-    /// The inner loop touches only the plan's flat cost arrays and the
-    /// capacitor: no cost-table lookups, no `DeviceOp` dispatch, and runs
-    /// of non-commit, non-ondemand ops execute in a coalesced segment
-    /// loop with no per-op flag checks. Results are bit-identical to
+    /// The run is one *lane* of the planned executor: a state machine
+    /// whose step makes one op attempt against the plan's flat cost
+    /// arrays and the capacitor — no cost-table lookups, no `DeviceOp`
+    /// dispatch. The capacitor is copied out of `supply` for the run and
+    /// written back at its end. A segment is a special op (one that
+    /// commits or allows an on-demand checkpoint) plus the plain ops
+    /// after it; each completed segment is reported as one
+    /// [`ExecEvent::SegmentRetired`]. On-demand checkpoints, outages,
+    /// dark phases, restores and the recovery ladder run out of line.
+    /// [`run_plan_pair`](Self::run_plan_pair) drives two lanes in
+    /// lockstep. Results are bit-identical to
     /// [`run_unplanned`](Self::run_unplanned) on the same inputs.
     ///
     /// The plan must have been compiled against a board with the same
@@ -347,14 +354,7 @@ impl IntermittentExecutor {
         board: &mut Board,
         supply: &mut PowerSupply,
     ) -> RunReport {
-        self.run_plan_inner(
-            plan,
-            board,
-            supply,
-            &mut NoTrace,
-            &mut NullProbe,
-            &FaultPlan::NONE,
-        )
+        self.run_plan_inner(plan, board, supply, &mut NullProbe, &FaultPlan::NONE)
     }
 
     /// [`run_plan`](Self::run_plan) under a seeded [`FaultPlan`]: the
@@ -371,7 +371,7 @@ impl IntermittentExecutor {
         supply: &mut PowerSupply,
         fault: &FaultPlan,
     ) -> RunReport {
-        self.run_plan_inner(plan, board, supply, &mut NoTrace, &mut NullProbe, fault)
+        self.run_plan_inner(plan, board, supply, &mut NullProbe, fault)
     }
 
     /// [`run_plan_faulted`](Self::run_plan_faulted) with an
@@ -386,7 +386,7 @@ impl IntermittentExecutor {
         fault: &FaultPlan,
         probe: &mut P,
     ) -> RunReport {
-        self.run_plan_inner(plan, board, supply, &mut NoTrace, probe, fault)
+        self.run_plan_inner(plan, board, supply, probe, fault)
     }
 
     /// [`run_plan`](Self::run_plan) with an [`ExecProbe`] observing the
@@ -406,7 +406,7 @@ impl IntermittentExecutor {
         supply: &mut PowerSupply,
         probe: &mut P,
     ) -> RunReport {
-        self.run_plan_inner(plan, board, supply, &mut NoTrace, probe, &FaultPlan::NONE)
+        self.run_plan_inner(plan, board, supply, probe, &FaultPlan::NONE)
     }
 
     /// [`run_plan`](Self::run_plan), additionally recording the ordered
@@ -480,18 +480,53 @@ impl IntermittentExecutor {
         probe: &mut P,
         fault: &FaultPlan,
     ) -> (RunReport, RunTrace) {
-        let mut recorder = TraceRecorder {
-            steps: Vec::with_capacity(plan.len() + plan.len() / 8),
-            op_count: plan.len() as u32,
-        };
-        let report = self.run_plan_inner(plan, board, supply, &mut recorder, probe, fault);
-        let trace = RunTrace {
-            steps: recorder.steps,
-            op_count: plan.len() as u32,
-            checkpoint_count: plan.checkpoints.len() as u32,
-            template: report.clone(),
-        };
+        let mut lane = Lane::new(
+            self,
+            plan,
+            board,
+            supply,
+            TraceRecorder::new(true),
+            probe,
+            fault,
+        );
+        lane.run();
+        let (report, recorder) = lane.finish();
+        let trace = recorder.into_trace(plan, &report);
         (report, trace)
+    }
+
+    /// Runs two independent live runs of `plan` in lockstep on one
+    /// thread — one op attempt from each in turn — so the CPU overlaps
+    /// the two capacitor dependency chains. Each run is a `(board,
+    /// supply, probe)` triple on its own board; when one run ends, the
+    /// other continues alone. Both runs consult `fault`, each from a
+    /// fresh decision stream, exactly as a solo run does.
+    ///
+    /// Every report, board, supply and probe event stream is
+    /// bit-identical to running `a` then `b` through
+    /// [`run_plan_faulted_probed`](Self::run_plan_faulted_probed). With
+    /// `trace_b`, run `b` is also recorded, as
+    /// [`run_plan_faulted_traced_probed`](Self::run_plan_faulted_traced_probed)
+    /// would record it. That is how a caller puts both runs on one
+    /// board: run `b` on a scratch copy of the board, then replay its
+    /// trace with [`replay_trace`](Self::replay_trace) after `a`.
+    pub fn run_plan_pair<PA: ExecProbe, PB: ExecProbe>(
+        &self,
+        plan: &ExecutionPlan,
+        fault: &FaultPlan,
+        a: (&mut Board, &mut PowerSupply, &mut PA),
+        b: (&mut Board, &mut PowerSupply, &mut PB),
+        trace_b: bool,
+    ) -> (RunReport, RunReport, Option<RunTrace>) {
+        let (board_a, supply_a, probe_a) = a;
+        let (board_b, supply_b, probe_b) = b;
+        let mut lane_a = Lane::new(self, plan, board_a, supply_a, NoTrace, probe_a, fault);
+        let recorder = TraceRecorder::new(trace_b);
+        let mut lane_b = Lane::new(self, plan, board_b, supply_b, recorder, probe_b, fault);
+        lockstep(&mut lane_a, &mut lane_b);
+        let (report_b, recorder) = lane_b.finish();
+        let trace = trace_b.then(|| recorder.into_trace(plan, &report_b));
+        (lane_a.finish().0, report_b, trace)
     }
 
     /// Replays a recorded [`RunTrace`] on `board`: applies the exact
@@ -521,25 +556,29 @@ impl IntermittentExecutor {
             (plan.len(), plan.checkpoints.len()),
             "trace was recorded from a differently shaped plan"
         );
-        let n = plan.len() as u32;
         let meter_before = board.meter().clone();
-        for &step in &trace.steps {
-            let (component, cost) = if step < n {
-                let i = step as usize;
-                (
+        for run in &trace.runs {
+            match run.mark {
+                TraceMark::None => {}
+                TraceMark::Restore => {
+                    board.apply_cost(Component::Checkpoint, plan.restore_cost().cost());
+                }
+                TraceMark::Checkpoint(slot) => {
+                    board.apply_cost(
+                        Component::Checkpoint,
+                        plan.checkpoints[slot as usize].cost(),
+                    );
+                }
+            }
+            for i in run.first as usize..run.end as usize {
+                board.apply_cost(
                     plan.component[i],
                     Cost {
                         cycles: Cycles::new(plan.cycles[i]),
                         energy: Energy::from_nanojoules(plan.energy_nj[i]),
                     },
-                )
-            } else if step == n {
-                (Component::Checkpoint, plan.restore_cost().cost())
-            } else {
-                let slot = (step - n - 1) as usize;
-                (Component::Checkpoint, plan.checkpoints[slot].cost())
-            };
-            board.apply_cost(component, cost);
+                );
+            }
         }
         // The dynamics (outcome, timing, op counts) are cached; the
         // meter share is re-derived against this board's prior tallies,
@@ -552,440 +591,17 @@ impl IntermittentExecutor {
         report
     }
 
-    fn run_plan_inner<S: StepSink, P: ExecProbe>(
+    fn run_plan_inner<P: ExecProbe>(
         &self,
         plan: &ExecutionPlan,
         board: &mut Board,
         supply: &mut PowerSupply,
-        sink: &mut S,
         probe: &mut P,
         fault: &FaultPlan,
     ) -> RunReport {
-        debug_assert_eq!(
-            plan.clock_hz(),
-            board.costs().clock_hz,
-            "plan compiled for a different board clock"
-        );
-        let clock = plan.clock_hz();
-        let monitor = board.monitor();
-        let n = plan.len();
-        let max_wall = self.config.max_wall_seconds;
-        let budget_nj = self.config.energy_budget_nj.unwrap_or(f64::INFINITY);
-
-        // Slices bound once: the hot loop reads only these.
-        let durations = &plan.duration_s[..n];
-        let needs = &plan.need_j[..n];
-        let cycles_of = &plan.cycles[..n];
-        let energy_of = &plan.energy_nj[..n];
-        let component_of = &plan.component[..n];
-
-        let meter_before = board.meter().clone();
-        let mut t = 0.0f64;
-        let mut i = 0usize;
-        let mut committed = 0usize;
-        let mut outages = 0u64;
-        let mut wasted = 0u64;
-        let mut executed = 0u64;
-        let mut ondemand = 0u64;
-        let mut restores = 0u64;
-        let mut active_cycles = 0u64;
-        let mut charging_s = 0.0f64;
-        let mut committed_at_last_outage = usize::MAX;
-        let mut stall = 0u64;
-        let mut spent_nj = 0.0f64;
-
-        // Fault machinery: `faulting` gates every fault branch so a
-        // disabled plan leaves the loop's arithmetic untouched.
-        let faulting = fault.enabled();
-        let mut fstate = fault.state();
-        let mut faults = FaultTally::default();
-        // The commit level *before* the latest commit — where a detected
-        // corrupt restore falls back to.
-        let mut prev_committed = 0usize;
-
-        // Payload-integrity machinery: live only on faulted runs with
-        // bit-flips armed or a non-`None` scheme compiled into the plan.
-        // When inactive, every restore takes the legacy corrupt branch
-        // bit-identically.
-        let scheme = plan.integrity();
-        let iactive = faulting && (fault.flips_armed() || scheme != Integrity::None);
-        let payload_bits = plan.program().restore_words() as u64 * 16;
-        let wear = WearCurve {
-            endurance_commits: fault.wear_endurance(),
-        };
-        let mut istate = IntegrityState::new();
-        let mut itally = IntegrityTally::default();
-
-        let (harvester, capacitor) = supply.parts_mut();
-
-        let outcome = 'run: loop {
-            if i >= n {
-                break 'run RunOutcome::Completed;
-            }
-            if t > max_wall {
-                break 'run RunOutcome::TimeLimit;
-            }
-            if spent_nj > budget_nj {
-                break 'run RunOutcome::EnergyLimit;
-            }
-
-            // `failed` routes every loss-of-power exit (real or
-            // injected) into the outage path; `spurious` marks an
-            // injected reset, where the capacitor keeps its charge.
-            let mut failed = false;
-            let mut spurious = false;
-            let seg_start = i;
-
-            // On-demand (voltage-triggered) checkpoint before op i.
-            if let Some(slot) = plan.ondemand_slot(i) {
-                let ck = &plan.checkpoints[slot as usize];
-                if committed < i && monitor.warns(capacitor.volts()) {
-                    let span = SpanTimer::start::<P>();
-                    let harvested = harvester.energy_over(t, ck.duration_s);
-                    capacitor.charge_joules(harvested);
-                    if capacitor.usable_joules() >= ck.need_j {
-                        // The write happens (and is paid for) either way;
-                        // a torn commit dies after the cost is sunk but
-                        // before the slot's commit marker flips, so the
-                        // previous checkpoint still stands.
-                        capacitor.drain_joules(ck.need_j);
-                        board.apply_cost(Component::Checkpoint, ck.cost());
-                        sink.checkpoint(slot);
-                        spent_nj += ck.energy_nj;
-                        t += ck.duration_s;
-                        active_cycles += ck.cycles;
-                        executed += 1;
-                        if faulting && fault.tears(&mut fstate) {
-                            faults.torn_commits += 1;
-                            span.finish(probe, ExecPhase::CheckpointRestore);
-                            probe.event(ExecEvent::FaultInjected {
-                                t,
-                                kind: FaultKind::TornCommit,
-                            });
-                            failed = true;
-                        } else {
-                            // Checkpoint committed atomically
-                            // (double-buffered in FRAM): progress up to
-                            // i is now durable.
-                            prev_committed = committed;
-                            committed = i;
-                            ondemand += 1;
-                            span.finish(probe, ExecPhase::CheckpointRestore);
-                            probe.event(ExecEvent::CheckpointCommit { t, slot });
-                            if faulting && fault.flips_armed() {
-                                commit_flips(
-                                    fault,
-                                    &mut fstate,
-                                    &mut istate,
-                                    &mut itally,
-                                    wear,
-                                    payload_bits,
-                                    t,
-                                    probe,
-                                );
-                            }
-                        }
-                    } else {
-                        span.finish(probe, ExecPhase::CheckpointRestore);
-                        // Dies partway through; the previous checkpoint
-                        // still stands. Fall through and let the op
-                        // attempt trigger the outage path.
-                        t += ck.duration_s;
-                    }
-                }
-            }
-
-            // Attempt op i, then stream through its trailing segment of
-            // plain (non-commit, non-ondemand) ops without re-checking
-            // flags.
-            if !failed {
-                let mut sagged = false;
-                if faulting {
-                    match fault.op_fault(&mut fstate) {
-                        OpFault::Reset => {
-                            // Power glitches before the op runs: time
-                            // passes (and harvest keeps flowing), but no
-                            // energy is drained and no work happens.
-                            let dt = durations[i];
-                            let harvested = harvester.energy_over(t, dt);
-                            capacitor.charge_joules(harvested);
-                            t += dt;
-                            faults.spurious_resets += 1;
-                            probe.event(ExecEvent::FaultInjected {
-                                t,
-                                kind: FaultKind::SpuriousReset,
-                            });
-                            failed = true;
-                            spurious = true;
-                        }
-                        OpFault::Sag => {
-                            faults.sag_ops += 1;
-                            probe.event(ExecEvent::FaultInjected {
-                                t,
-                                kind: FaultKind::VoltageSag,
-                            });
-                            sagged = true;
-                        }
-                        OpFault::None => {}
-                    }
-                }
-                if !failed {
-                    let dt = durations[i];
-                    let harvested = harvester.energy_over(t, dt);
-                    capacitor.charge_joules(harvested);
-                    // A sagged op draws `sag_factor` times its nominal
-                    // energy from the capacitor; the board meter keeps
-                    // the nominal cost (the silicon did the same work).
-                    let need = if sagged {
-                        needs[i] * fault.sag_factor()
-                    } else {
-                        needs[i]
-                    };
-                    if capacitor.usable_joules() < need {
-                        t += dt;
-                        failed = true;
-                    } else {
-                        capacitor.drain_joules(need);
-                        board.apply_cost(
-                            component_of[i],
-                            Cost {
-                                cycles: Cycles::new(cycles_of[i]),
-                                energy: Energy::from_nanojoules(energy_of[i]),
-                            },
-                        );
-                        sink.op(i as u32);
-                        if sagged {
-                            spent_nj += energy_of[i] * fault.sag_factor();
-                        } else {
-                            spent_nj += energy_of[i];
-                        }
-                        t += dt;
-                        active_cycles += cycles_of[i];
-                        executed += 1;
-                        if plan.commits(i) {
-                            prev_committed = committed;
-                            committed = i + 1;
-                            if faulting && fault.flips_armed() {
-                                commit_flips(
-                                    fault,
-                                    &mut fstate,
-                                    &mut istate,
-                                    &mut itally,
-                                    wear,
-                                    payload_bits,
-                                    t,
-                                    probe,
-                                );
-                            }
-                        }
-                        i += 1;
-
-                        // ---- coalesced segment of plain ops ----
-                        let end = plan.plain_run_end(i);
-                        while i < end {
-                            if t > max_wall {
-                                break 'run RunOutcome::TimeLimit;
-                            }
-                            if spent_nj > budget_nj {
-                                break 'run RunOutcome::EnergyLimit;
-                            }
-                            if faulting {
-                                match fault.op_fault(&mut fstate) {
-                                    OpFault::Reset => {
-                                        let dt = durations[i];
-                                        let harvested = harvester.energy_over(t, dt);
-                                        capacitor.charge_joules(harvested);
-                                        t += dt;
-                                        faults.spurious_resets += 1;
-                                        probe.event(ExecEvent::FaultInjected {
-                                            t,
-                                            kind: FaultKind::SpuriousReset,
-                                        });
-                                        failed = true;
-                                        spurious = true;
-                                        break;
-                                    }
-                                    OpFault::Sag => {
-                                        faults.sag_ops += 1;
-                                        probe.event(ExecEvent::FaultInjected {
-                                            t,
-                                            kind: FaultKind::VoltageSag,
-                                        });
-                                        let dt = durations[i];
-                                        let harvested = harvester.energy_over(t, dt);
-                                        capacitor.charge_joules(harvested);
-                                        let need = needs[i] * fault.sag_factor();
-                                        if capacitor.usable_joules() < need {
-                                            t += dt;
-                                            failed = true;
-                                            break;
-                                        }
-                                        capacitor.drain_joules(need);
-                                        board.apply_cost(
-                                            component_of[i],
-                                            Cost {
-                                                cycles: Cycles::new(cycles_of[i]),
-                                                energy: Energy::from_nanojoules(energy_of[i]),
-                                            },
-                                        );
-                                        sink.op(i as u32);
-                                        spent_nj += energy_of[i] * fault.sag_factor();
-                                        t += dt;
-                                        active_cycles += cycles_of[i];
-                                        executed += 1;
-                                        i += 1;
-                                        continue;
-                                    }
-                                    OpFault::None => {}
-                                }
-                            }
-                            let dt = durations[i];
-                            let harvested = harvester.energy_over(t, dt);
-                            capacitor.charge_joules(harvested);
-                            if capacitor.usable_joules() < needs[i] {
-                                t += dt;
-                                failed = true;
-                                break;
-                            }
-                            capacitor.drain_joules(needs[i]);
-                            board.apply_cost(
-                                component_of[i],
-                                Cost {
-                                    cycles: Cycles::new(cycles_of[i]),
-                                    energy: Energy::from_nanojoules(energy_of[i]),
-                                },
-                            );
-                            sink.op(i as u32);
-                            spent_nj += energy_of[i];
-                            t += dt;
-                            active_cycles += cycles_of[i];
-                            executed += 1;
-                            i += 1;
-                        }
-                    }
-                }
-            }
-            if !failed {
-                probe.event(ExecEvent::SegmentRetired {
-                    t,
-                    start: seg_start as u32,
-                    end: i as u32,
-                });
-                continue 'run;
-            }
-
-            // ---- power failure ----
-            outages += 1;
-            wasted += (i - committed) as u64;
-            if !spurious {
-                capacitor.collapse_to_off();
-            }
-            probe.event(ExecEvent::BrownOut { t });
-
-            if committed == committed_at_last_outage {
-                stall += 1;
-            } else {
-                stall = 0;
-            }
-            committed_at_last_outage = committed;
-            if stall >= self.config.stall_outages {
-                break 'run RunOutcome::NoProgress;
-            }
-            if outages >= self.config.max_outages {
-                break 'run RunOutcome::OutageLimit;
-            }
-
-            // ---- dark charging phase ----
-            let dark_t0 = t;
-            let dark_joules = if P::ENABLED {
-                capacitor.joules_to_boot().max(0.0)
-            } else {
-                0.0
-            };
-            let span = SpanTimer::start::<P>();
-            let booted = self.charge_until_boot(harvester, capacitor, &mut t, &mut charging_s);
-            span.finish(probe, ExecPhase::ChargeSolve);
-            probe.event(ExecEvent::DarkSkip {
-                t0: dark_t0,
-                t1: t,
-                joules: dark_joules,
-            });
-            if !booted {
-                break 'run RunOutcome::TimeLimit;
-            }
-
-            // ---- restore ----
-            // Freshly booted at v_on: the restore always fits.
-            let span = SpanTimer::start::<P>();
-            let restore = plan.restore_cost();
-            board.apply_cost(Component::Checkpoint, restore.cost());
-            sink.restore();
-            spent_nj += restore.energy_nj;
-            capacitor.drain_joules(restore.need_j);
-            t += restore.duration_s;
-            active_cycles += restore.cycles;
-            restores += 1;
-            if iactive {
-                resolve_restore_ladder(
-                    scheme,
-                    fault,
-                    &mut fstate,
-                    &mut istate,
-                    &mut itally,
-                    &mut faults,
-                    &mut committed,
-                    &mut prev_committed,
-                    &mut wasted,
-                    t,
-                    probe,
-                );
-            } else if faulting && fault.corrupts(&mut fstate) {
-                // The freshest slot reads corrupt. The commit bitset /
-                // slot versioning detects it, and the runtime falls back
-                // to the previous durable commit (cold boot if none).
-                faults.corrupt_restores += 1;
-                faults.detected_corruptions += 1;
-                wasted += (committed - prev_committed) as u64;
-                committed = prev_committed;
-                if committed == 0 {
-                    faults.cold_boots += 1;
-                }
-                probe.event(ExecEvent::CorruptionDetected { t });
-            }
-            i = committed;
-            span.finish(probe, ExecPhase::CheckpointRestore);
-            probe.event(ExecEvent::Boot { t });
-        };
-
-        if outcome == RunOutcome::EnergyLimit {
-            probe.event(ExecEvent::EnergyLimit { t });
-        }
-        probe.event(ExecEvent::RunEnd { t, outcome });
-
-        if iactive {
-            itally.wear_max_commits = istate.max_writes();
-        }
-
-        // Report only this run's share.
-        let meter = diff_meters(board.meter(), &meter_before);
-
-        RunReport {
-            outcome,
-            outages,
-            ondemand_checkpoints: ondemand,
-            restores,
-            executed_ops: executed,
-            wasted_ops: wasted,
-            active_cycles: Cycles::new(active_cycles),
-            active_seconds: active_cycles as f64 / clock,
-            charging_seconds: charging_s,
-            wall_seconds: t,
-            energy: meter.total_energy(),
-            checkpoint_energy: meter.energy_of(Component::Checkpoint),
-            meter,
-            faults,
-            integrity: itally,
-        }
+        let mut lane = Lane::new(self, plan, board, supply, NoTrace, probe, fault);
+        lane.run();
+        lane.finish().0
     }
 
     /// Runs `program` op by op, pricing every op against the board as it
@@ -1081,7 +697,7 @@ impl IntermittentExecutor {
     /// observing the run — the reference-path twin of
     /// [`run_plan_probed`](Self::run_plan_probed), emitting the same
     /// events except [`SegmentRetired`](ExecEvent::SegmentRetired) (the
-    /// op-by-op interpreter has no coalesced segments); the `slot` of a
+    /// op-by-op interpreter has no segments); the `slot` of a
     /// [`CheckpointCommit`](ExecEvent::CheckpointCommit) is the program
     /// op index the checkpoint fired ahead of, since the reference path
     /// has no deduplicated checkpoint slots.
@@ -1132,14 +748,14 @@ impl IntermittentExecutor {
         let mut stall = 0u64;
         let mut spent_nj = 0.0f64;
 
-        // Fault machinery — mirrors `run_plan_inner` draw for draw so a
+        // Fault machinery — mirrors the plan lane draw for draw so a
         // faulted reference run stays in bit parity with the plan path.
         let faulting = fault.enabled();
         let mut fstate = fault.state();
         let mut faults = FaultTally::default();
         let mut prev_committed = 0usize;
 
-        // Payload-integrity machinery, mirroring `run_plan_inner`.
+        // Payload-integrity machinery, mirroring the plan lane.
         let iactive = faulting && (fault.flips_armed() || scheme != Integrity::None);
         let payload_bits = program.restore_words() as u64 * 16;
         let wear = WearCurve {
@@ -1523,12 +1139,19 @@ impl IntermittentExecutor {
 /// [`IntermittentExecutor::run_plan_traced`], consumed by
 /// [`IntermittentExecutor::replay_trace`].
 ///
-/// Steps are encoded against the plan the trace was recorded from:
-/// `0..len` are plan op indices, `len` is a restore, and `len + 1 + k`
-/// is the plan's `k`-th deduplicated on-demand checkpoint.
+/// The sequence is run-length encoded against the plan the trace was
+/// recorded from. Each entry is an optional restore or on-demand
+/// checkpoint (by the plan's deduplicated checkpoint index) followed by
+/// a `[first, end)` range of plan ops applied in order. Ops only ever
+/// advance one by one between a restore or checkpoint and the next, so
+/// a trace holds at most one entry per restore or applied checkpoint,
+/// plus one: O(outages + checkpoints) entries of 16 bytes, however many
+/// ops the run executed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunTrace {
-    steps: Vec<u32>,
+    runs: Vec<TraceRun>,
+    /// Applied costs, summed over the runs.
+    len: usize,
     /// Shape of the plan the trace was recorded from; replays against a
     /// differently shaped plan are rejected rather than decoded wrong.
     op_count: u32,
@@ -1539,12 +1162,12 @@ pub struct RunTrace {
 impl RunTrace {
     /// Number of applied costs (executed ops + checkpoints + restores).
     pub fn len(&self) -> usize {
-        self.steps.len()
+        self.len
     }
 
     /// `true` if the run applied no costs at all.
     pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
+        self.len == 0
     }
 
     /// The report the recording run produced (its meter share reflects
@@ -1554,7 +1177,25 @@ impl RunTrace {
     }
 }
 
-/// Recording hook threaded through the plan executor's inner loop.
+/// One run-length-encoded [`RunTrace`] entry: `mark`'s cost, then plan
+/// ops `first..end`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct TraceRun {
+    mark: TraceMark,
+    first: u32,
+    end: u32,
+}
+
+/// The checkpoint-component cost a [`TraceRun`] applies before its ops.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum TraceMark {
+    None,
+    Restore,
+    /// The plan's `k`-th deduplicated on-demand checkpoint.
+    Checkpoint(u32),
+}
+
+/// Recording hook threaded through the plan executor's lane.
 /// [`NoTrace`] is a zero-sized no-op the optimizer erases, so the
 /// untraced path pays nothing.
 trait StepSink {
@@ -1574,23 +1215,585 @@ impl StepSink for NoTrace {
     fn restore(&mut self) {}
 }
 
+/// Builds a [`RunTrace`]'s run-length encoding when `on`; an off
+/// recorder records nothing (the second lane of an untraced pair).
 struct TraceRecorder {
-    steps: Vec<u32>,
-    op_count: u32,
+    on: bool,
+    runs: Vec<TraceRun>,
+    len: usize,
+}
+
+impl TraceRecorder {
+    fn new(on: bool) -> Self {
+        TraceRecorder {
+            on,
+            runs: Vec::new(),
+            len: 0,
+        }
+    }
+
+    fn mark(&mut self, mark: TraceMark) {
+        if !self.on {
+            return;
+        }
+        self.len += 1;
+        self.runs.push(TraceRun {
+            mark,
+            first: 0,
+            end: 0,
+        });
+    }
+
+    fn into_trace(self, plan: &ExecutionPlan, report: &RunReport) -> RunTrace {
+        RunTrace {
+            runs: self.runs,
+            len: self.len,
+            op_count: plan.len() as u32,
+            checkpoint_count: plan.checkpoints.len() as u32,
+            template: report.clone(),
+        }
+    }
 }
 
 impl StepSink for TraceRecorder {
     #[inline]
     fn op(&mut self, i: u32) {
-        self.steps.push(i);
+        if !self.on {
+            return;
+        }
+        self.len += 1;
+        if let Some(run) = self.runs.last_mut() {
+            if run.first == run.end {
+                // A fresh mark's empty range starts at this op.
+                run.first = i;
+                run.end = i;
+            }
+            if run.end == i {
+                run.end = i + 1;
+                return;
+            }
+        }
+        self.runs.push(TraceRun {
+            mark: TraceMark::None,
+            first: i,
+            end: i + 1,
+        });
     }
     #[inline]
     fn checkpoint(&mut self, slot: u32) {
-        self.steps.push(self.op_count + 1 + slot);
+        self.mark(TraceMark::Checkpoint(slot));
     }
     #[inline]
     fn restore(&mut self) {
-        self.steps.push(self.op_count);
+        self.mark(TraceMark::Restore);
+    }
+}
+
+/// How one op attempt ended.
+enum Attempt {
+    /// The op ran and was paid for.
+    Ran,
+    /// The capacitor could not cover the op: a brown-out.
+    Died,
+    /// An injected spurious reset pre-empted the op.
+    Reset,
+}
+
+/// One live run of a plan: the planned executor's state machine.
+/// [`step`](Lane::step) makes one op attempt; everything else — the
+/// on-demand checkpoint once the monitor warns, commit bit flips,
+/// outages, the dark phase, restores and the recovery ladder — runs out
+/// of line. The capacitor is held by value for the run and written
+/// back by [`finish`](Lane::finish): reaching it through the supply
+/// would put a store and a reload on its dependency chain every op.
+struct Lane<'a, S: StepSink, P: ExecProbe> {
+    exec: &'a IntermittentExecutor,
+    plan: &'a ExecutionPlan,
+    board: &'a mut Board,
+    harvester: &'a Harvester,
+    /// Where the capacitor's final state is written back.
+    home: &'a mut Capacitor,
+    sink: S,
+    probe: &'a mut P,
+    fault: &'a FaultPlan,
+    monitor: VoltageMonitor,
+    cap: Capacitor,
+    harvest: SlotMemo,
+    meter_before: EnergyMeter,
+
+    // The plan's per-op arrays and the run limits, bound once.
+    durations: &'a [f64],
+    needs: &'a [f64],
+    cycles_of: &'a [u64],
+    energy_of: &'a [f64],
+    component_of: &'a [Component],
+    max_wall: f64,
+    budget_nj: f64,
+
+    // Per-op state.
+    t: f64,
+    i: usize,
+    /// First op of the segment in flight.
+    seg_start: usize,
+    /// End of the segment's trailing plain ops: the next step begins a
+    /// new segment once `i` reaches it.
+    seg_end: usize,
+    spent_nj: f64,
+    active_cycles: u64,
+    executed: u64,
+
+    // Commit and outage state.
+    committed: usize,
+    /// The commit level *before* the latest commit — where a detected
+    /// corrupt restore falls back to.
+    prev_committed: usize,
+    committed_at_last_outage: usize,
+    stall: u64,
+    outages: u64,
+    wasted: u64,
+    ondemand: u64,
+    restores: u64,
+    charging_s: f64,
+
+    // Fault machinery: `faulting` gates every fault branch so a disabled
+    // plan leaves the arithmetic untouched. Payload integrity is live
+    // (`iactive`) only on faulted runs with bit flips armed or a
+    // non-`None` scheme; otherwise every restore takes the legacy
+    // corrupt branch bit-identically.
+    faulting: bool,
+    fstate: FaultState,
+    faults: FaultTally,
+    iactive: bool,
+    payload_bits: u64,
+    wear: WearCurve,
+    istate: IntegrityState,
+    itally: IntegrityTally,
+
+    /// Why the run ended, once [`step`](Lane::step) returned `false`.
+    outcome: RunOutcome,
+}
+
+impl<'a, S: StepSink, P: ExecProbe> Lane<'a, S, P> {
+    fn new(
+        exec: &'a IntermittentExecutor,
+        plan: &'a ExecutionPlan,
+        board: &'a mut Board,
+        supply: &'a mut PowerSupply,
+        sink: S,
+        probe: &'a mut P,
+        fault: &'a FaultPlan,
+    ) -> Self {
+        debug_assert_eq!(
+            plan.clock_hz(),
+            board.costs().clock_hz,
+            "plan compiled for a different board clock"
+        );
+        let n = plan.len();
+        let (harvester, home) = supply.parts_mut();
+        let faulting = fault.enabled();
+        Lane {
+            monitor: board.monitor(),
+            cap: home.clone(),
+            harvest: SlotMemo::new(harvester),
+            meter_before: board.meter().clone(),
+            durations: &plan.duration_s[..n],
+            needs: &plan.need_j[..n],
+            cycles_of: &plan.cycles[..n],
+            energy_of: &plan.energy_nj[..n],
+            component_of: &plan.component[..n],
+            max_wall: exec.config.max_wall_seconds,
+            budget_nj: exec.config.energy_budget_nj.unwrap_or(f64::INFINITY),
+            t: 0.0,
+            i: 0,
+            seg_start: 0,
+            seg_end: 0,
+            spent_nj: 0.0,
+            active_cycles: 0,
+            executed: 0,
+            committed: 0,
+            prev_committed: 0,
+            committed_at_last_outage: usize::MAX,
+            stall: 0,
+            outages: 0,
+            wasted: 0,
+            ondemand: 0,
+            restores: 0,
+            charging_s: 0.0,
+            faulting,
+            fstate: fault.state(),
+            faults: FaultTally::default(),
+            iactive: faulting && (fault.flips_armed() || plan.integrity() != Integrity::None),
+            payload_bits: plan.program().restore_words() as u64 * 16,
+            wear: WearCurve {
+                endurance_commits: fault.wear_endurance(),
+            },
+            istate: IntegrityState::new(),
+            itally: IntegrityTally::default(),
+            outcome: RunOutcome::Completed,
+            exec,
+            plan,
+            board,
+            harvester,
+            home,
+            sink,
+            probe,
+            fault,
+        }
+    }
+
+    /// Steps the lane until its run ends. One out-of-line loop per lane
+    /// type, shared by solo runs and the survivor of a lockstep pair.
+    #[inline(never)]
+    fn run(&mut self) {
+        while self.step() {}
+    }
+
+    /// Makes one op attempt (with the on-demand checkpoint and commit
+    /// of a segment's first op, and the outage path if it fails).
+    /// Returns `false` once the run has ended.
+    #[inline(always)]
+    fn step(&mut self) -> bool {
+        let head = self.i >= self.seg_end;
+        if head {
+            if self.i >= self.plan.len() {
+                return self.end(RunOutcome::Completed);
+            }
+            self.seg_start = self.i;
+        }
+        if self.t > self.max_wall {
+            return self.end(RunOutcome::TimeLimit);
+        }
+        if self.spent_nj > self.budget_nj {
+            return self.end(RunOutcome::EnergyLimit);
+        }
+        if head {
+            if let Some(slot) = self.plan.ondemand_slot(self.i) {
+                // On-demand (voltage-triggered) checkpoint before op i.
+                if self.committed < self.i
+                    && self.monitor.warns(self.cap.volts())
+                    && self.checkpoint(slot)
+                {
+                    return self.outage(false);
+                }
+            }
+        }
+        match self.attempt() {
+            Attempt::Ran => {}
+            Attempt::Died => return self.outage(false),
+            Attempt::Reset => return self.outage(true),
+        }
+        if head && self.plan.commits(self.i) {
+            self.prev_committed = self.committed;
+            self.committed = self.i + 1;
+            if self.faulting && self.fault.flips_armed() {
+                self.commit_flips();
+            }
+        }
+        self.i += 1;
+        if head {
+            self.seg_end = self.plan.plain_run_end(self.i);
+        }
+        if self.i >= self.seg_end {
+            self.probe.event(ExecEvent::SegmentRetired {
+                t: self.t,
+                start: self.seg_start as u32,
+                end: self.i as u32,
+            });
+        }
+        true
+    }
+
+    /// Attempts op `i`: draws its fault, harvests over its duration,
+    /// and executes and drains on success. A sagged op draws
+    /// `sag_factor` times its nominal energy from the capacitor; the
+    /// board meter keeps the nominal cost (the silicon did the same
+    /// work).
+    #[inline(always)]
+    fn attempt(&mut self) -> Attempt {
+        let i = self.i;
+        let mut need = self.needs[i];
+        let mut drawn_nj = self.energy_of[i];
+        if self.faulting {
+            match self.fault.op_fault(&mut self.fstate) {
+                OpFault::Reset => {
+                    self.spurious_reset();
+                    return Attempt::Reset;
+                }
+                OpFault::Sag => {
+                    self.faults.sag_ops += 1;
+                    self.probe.event(ExecEvent::FaultInjected {
+                        t: self.t,
+                        kind: FaultKind::VoltageSag,
+                    });
+                    need *= self.fault.sag_factor();
+                    drawn_nj *= self.fault.sag_factor();
+                }
+                OpFault::None => {}
+            }
+        }
+        let dt = self.durations[i];
+        let harvested = self.harvest.energy_over(self.harvester, self.t, dt);
+        self.cap.charge_joules(harvested);
+        if self.cap.usable_joules() < need {
+            // Dies partway through the op; time passes anyway.
+            self.t += dt;
+            return Attempt::Died;
+        }
+        self.cap.drain_joules(need);
+        self.board.apply_cost(
+            self.component_of[i],
+            Cost {
+                cycles: Cycles::new(self.cycles_of[i]),
+                energy: Energy::from_nanojoules(self.energy_of[i]),
+            },
+        );
+        self.sink.op(i as u32);
+        self.spent_nj += drawn_nj;
+        self.t += dt;
+        self.active_cycles += self.cycles_of[i];
+        self.executed += 1;
+        Attempt::Ran
+    }
+
+    /// An injected power glitch before op `i` runs: time passes (and
+    /// harvest keeps flowing), but no energy is drained and no work
+    /// happens.
+    #[cold]
+    #[inline(never)]
+    fn spurious_reset(&mut self) {
+        let dt = self.durations[self.i];
+        let harvested = self.harvest.energy_over(self.harvester, self.t, dt);
+        self.cap.charge_joules(harvested);
+        self.t += dt;
+        self.faults.spurious_resets += 1;
+        self.probe.event(ExecEvent::FaultInjected {
+            t: self.t,
+            kind: FaultKind::SpuriousReset,
+        });
+    }
+
+    /// The on-demand checkpoint before op `i`, taken once the monitor
+    /// warns. Returns `true` if an injected tear killed the device after
+    /// the write was paid for.
+    #[cold]
+    #[inline(never)]
+    fn checkpoint(&mut self, slot: u32) -> bool {
+        let plan = self.plan;
+        let ck = &plan.checkpoints[slot as usize];
+        let span = SpanTimer::start::<P>();
+        let harvested = self
+            .harvest
+            .energy_over(self.harvester, self.t, ck.duration_s);
+        self.cap.charge_joules(harvested);
+        if self.cap.usable_joules() < ck.need_j {
+            span.finish(self.probe, ExecPhase::CheckpointRestore);
+            // Dies partway through; the previous checkpoint still
+            // stands. Fall through and let the op attempt trigger the
+            // outage path.
+            self.t += ck.duration_s;
+            return false;
+        }
+        // The write happens (and is paid for) either way; a torn commit
+        // dies after the cost is sunk but before the slot's commit
+        // marker flips, so the previous checkpoint still stands.
+        self.cap.drain_joules(ck.need_j);
+        self.board.apply_cost(Component::Checkpoint, ck.cost());
+        self.sink.checkpoint(slot);
+        self.spent_nj += ck.energy_nj;
+        self.t += ck.duration_s;
+        self.active_cycles += ck.cycles;
+        self.executed += 1;
+        if self.faulting && self.fault.tears(&mut self.fstate) {
+            self.faults.torn_commits += 1;
+            span.finish(self.probe, ExecPhase::CheckpointRestore);
+            self.probe.event(ExecEvent::FaultInjected {
+                t: self.t,
+                kind: FaultKind::TornCommit,
+            });
+            return true;
+        }
+        // Checkpoint committed atomically (double-buffered in FRAM):
+        // progress up to i is now durable.
+        self.prev_committed = self.committed;
+        self.committed = self.i;
+        self.ondemand += 1;
+        span.finish(self.probe, ExecPhase::CheckpointRestore);
+        self.probe
+            .event(ExecEvent::CheckpointCommit { t: self.t, slot });
+        if self.faulting && self.fault.flips_armed() {
+            self.commit_flips();
+        }
+        false
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn commit_flips(&mut self) {
+        commit_flips(
+            self.fault,
+            &mut self.fstate,
+            &mut self.istate,
+            &mut self.itally,
+            self.wear,
+            self.payload_bits,
+            self.t,
+            self.probe,
+        );
+    }
+
+    /// A power failure (real, or an injected reset that keeps the
+    /// capacitor's charge): the stall and outage limits, the dark
+    /// phase, then the restore and its recovery ladder. Returns `false`
+    /// if the run ended instead of rebooting.
+    #[cold]
+    #[inline(never)]
+    fn outage(&mut self, spurious: bool) -> bool {
+        self.outages += 1;
+        self.wasted += (self.i - self.committed) as u64;
+        if !spurious {
+            self.cap.collapse_to_off();
+        }
+        self.probe.event(ExecEvent::BrownOut { t: self.t });
+
+        if self.committed == self.committed_at_last_outage {
+            self.stall += 1;
+        } else {
+            self.stall = 0;
+        }
+        self.committed_at_last_outage = self.committed;
+        if self.stall >= self.exec.config.stall_outages {
+            return self.end(RunOutcome::NoProgress);
+        }
+        if self.outages >= self.exec.config.max_outages {
+            return self.end(RunOutcome::OutageLimit);
+        }
+
+        // ---- dark charging phase ----
+        let dark_t0 = self.t;
+        let dark_joules = if P::ENABLED {
+            self.cap.joules_to_boot().max(0.0)
+        } else {
+            0.0
+        };
+        let span = SpanTimer::start::<P>();
+        let booted = self.exec.charge_until_boot(
+            self.harvester,
+            &mut self.cap,
+            &mut self.t,
+            &mut self.charging_s,
+        );
+        span.finish(self.probe, ExecPhase::ChargeSolve);
+        self.probe.event(ExecEvent::DarkSkip {
+            t0: dark_t0,
+            t1: self.t,
+            joules: dark_joules,
+        });
+        if !booted {
+            return self.end(RunOutcome::TimeLimit);
+        }
+
+        // ---- restore ----
+        // Freshly booted at v_on: the restore always fits.
+        let span = SpanTimer::start::<P>();
+        let restore = self.plan.restore_cost();
+        self.board.apply_cost(Component::Checkpoint, restore.cost());
+        self.sink.restore();
+        self.spent_nj += restore.energy_nj;
+        self.cap.drain_joules(restore.need_j);
+        self.t += restore.duration_s;
+        self.active_cycles += restore.cycles;
+        self.restores += 1;
+        if self.iactive {
+            resolve_restore_ladder(
+                self.plan.integrity(),
+                self.fault,
+                &mut self.fstate,
+                &mut self.istate,
+                &mut self.itally,
+                &mut self.faults,
+                &mut self.committed,
+                &mut self.prev_committed,
+                &mut self.wasted,
+                self.t,
+                self.probe,
+            );
+        } else if self.faulting && self.fault.corrupts(&mut self.fstate) {
+            // The freshest slot reads corrupt. The commit bitset / slot
+            // versioning detects it, and the runtime falls back to the
+            // previous durable commit (cold boot if none).
+            self.faults.corrupt_restores += 1;
+            self.faults.detected_corruptions += 1;
+            self.wasted += (self.committed - self.prev_committed) as u64;
+            self.committed = self.prev_committed;
+            if self.committed == 0 {
+                self.faults.cold_boots += 1;
+            }
+            self.probe
+                .event(ExecEvent::CorruptionDetected { t: self.t });
+        }
+        self.i = self.committed;
+        self.seg_end = 0;
+        span.finish(self.probe, ExecPhase::CheckpointRestore);
+        self.probe.event(ExecEvent::Boot { t: self.t });
+        true
+    }
+
+    /// Ends the run with `outcome`; always `false`.
+    #[cold]
+    #[inline(never)]
+    fn end(&mut self, outcome: RunOutcome) -> bool {
+        self.outcome = outcome;
+        if outcome == RunOutcome::EnergyLimit {
+            self.probe.event(ExecEvent::EnergyLimit { t: self.t });
+        }
+        self.probe.event(ExecEvent::RunEnd { t: self.t, outcome });
+        false
+    }
+
+    /// Writes the capacitor back into the supply and reports this run's
+    /// share of the board meter, handing the step sink back.
+    fn finish(mut self) -> (RunReport, S) {
+        if self.iactive {
+            self.itally.wear_max_commits = self.istate.max_writes();
+        }
+        *self.home = self.cap.clone();
+        let meter = diff_meters(self.board.meter(), &self.meter_before);
+        let report = RunReport {
+            outcome: self.outcome,
+            outages: self.outages,
+            ondemand_checkpoints: self.ondemand,
+            restores: self.restores,
+            executed_ops: self.executed,
+            wasted_ops: self.wasted,
+            active_cycles: Cycles::new(self.active_cycles),
+            active_seconds: self.active_cycles as f64 / self.plan.clock_hz(),
+            charging_seconds: self.charging_s,
+            wall_seconds: self.t,
+            energy: meter.total_energy(),
+            checkpoint_energy: meter.energy_of(Component::Checkpoint),
+            meter,
+            faults: self.faults,
+            integrity: self.itally,
+        };
+        (report, self.sink)
+    }
+}
+
+/// Drives two lanes one op attempt each in turn until one ends, then
+/// runs the survivor alone.
+fn lockstep<SA: StepSink, PA: ExecProbe, SB: StepSink, PB: ExecProbe>(
+    a: &mut Lane<'_, SA, PA>,
+    b: &mut Lane<'_, SB, PB>,
+) {
+    let (mut live_a, mut live_b) = (true, true);
+    while live_a && live_b {
+        live_a = a.step();
+        live_b = b.step();
+    }
+    if live_a {
+        a.run();
+    } else if live_b {
+        b.run();
     }
 }
 
@@ -2640,6 +2843,166 @@ mod tests {
         assert_eq!(armed.integrity.flips_detected, 0);
         assert_eq!(armed.integrity.ladder, [armed.restores, 0, 0, 0]);
         assert!(armed.integrity.wear_max_commits > 0, "commits were tracked");
+    }
+
+    /// The pre-encoding trace format, kept as the oracle for the
+    /// run-length encoding: one code per applied cost (`0..len` ops,
+    /// `len` a restore, `len + 1 + k` checkpoint slot `k`).
+    #[derive(Default)]
+    struct FlatRecorder {
+        steps: Vec<u32>,
+        op_count: u32,
+    }
+
+    impl StepSink for FlatRecorder {
+        fn op(&mut self, i: u32) {
+            self.steps.push(i);
+        }
+        fn checkpoint(&mut self, slot: u32) {
+            self.steps.push(self.op_count + 1 + slot);
+        }
+        fn restore(&mut self) {
+            self.steps.push(self.op_count);
+        }
+    }
+
+    /// `trace` expanded back into [`FlatRecorder`] codes.
+    fn flat_codes(trace: &RunTrace) -> Vec<u32> {
+        let n = trace.op_count;
+        let mut codes = Vec::new();
+        for run in &trace.runs {
+            match run.mark {
+                TraceMark::None => {}
+                TraceMark::Restore => codes.push(n),
+                TraceMark::Checkpoint(slot) => codes.push(n + 1 + slot),
+            }
+            codes.extend(run.first..run.end);
+        }
+        codes
+    }
+
+    #[test]
+    fn run_length_traces_encode_the_flat_sequence_and_replay_identically() {
+        let p = mixed_program(900);
+        let board = Board::msp430fr5994();
+        let exec = IntermittentExecutor::default();
+        let mut flipping = noisy_fault_spec(5);
+        flipping.flip_per_commit_bit = 1e-3;
+        let faults = [
+            FaultPlan::NONE,
+            FaultPlan::compile(&noisy_fault_spec(17)),
+            FaultPlan::compile(&flipping),
+        ];
+        for integrity in Integrity::ALL {
+            let plan = ExecutionPlan::compile_with_integrity(p.clone(), &board, integrity);
+            for fault in &faults {
+                for supply in [bench_supply(), weak_supply()] {
+                    let mut flat_board = Board::msp430fr5994();
+                    let mut flat_supply = supply.clone();
+                    let flat = FlatRecorder {
+                        op_count: plan.len() as u32,
+                        ..FlatRecorder::default()
+                    };
+                    let mut probe = NullProbe;
+                    let mut lane = Lane::new(
+                        &exec,
+                        &plan,
+                        &mut flat_board,
+                        &mut flat_supply,
+                        flat,
+                        &mut probe,
+                        fault,
+                    );
+                    while lane.step() {}
+                    let (flat_report, flat) = lane.finish();
+
+                    let mut record_board = Board::msp430fr5994();
+                    let mut record_supply = supply.clone();
+                    let (recorded, trace) = exec.run_plan_faulted_traced(
+                        &plan,
+                        &mut record_board,
+                        &mut record_supply,
+                        fault,
+                    );
+                    assert_eq!(recorded, flat_report);
+                    assert_eq!(flat_codes(&trace), flat.steps);
+                    assert_eq!(trace.len(), flat.steps.len());
+                    assert_eq!(
+                        trace.len() as u64,
+                        recorded.executed_ops + recorded.restores
+                    );
+                    // One entry per restore or applied (possibly torn)
+                    // checkpoint, plus the first run of ops.
+                    let marks = recorded.restores
+                        + recorded.ondemand_checkpoints
+                        + recorded.faults.torn_commits;
+                    assert!(trace.runs.len() as u64 <= marks + 1);
+
+                    // Replays onto a board with prior history match a
+                    // live run on an identical board.
+                    let mut live_board = Board::msp430fr5994();
+                    let mut replay_board = Board::msp430fr5994();
+                    for _ in 0..2 {
+                        let mut s = supply.clone();
+                        let live = exec.run_plan_faulted(&plan, &mut live_board, &mut s, fault);
+                        let replayed = exec.replay_trace(&plan, &trace, &mut replay_board);
+                        assert_eq!(live, replayed);
+                    }
+                    assert_eq!(live_board.meter(), replay_board.meter());
+                    assert_eq!(live_board.elapsed_cycles(), replay_board.elapsed_cycles());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pair_lanes_match_solo_runs_and_their_event_streams() {
+        use crate::probe::EventRing;
+
+        let p = mixed_program(700);
+        let board = Board::msp430fr5994();
+        let plan = ExecutionPlan::compile_with_integrity(p, &board, Integrity::Secded);
+        let exec = IntermittentExecutor::default();
+        let mut flipping = noisy_fault_spec(23);
+        flipping.flip_per_commit_bit = 1e-3;
+        let solo = |supply: &PowerSupply, fault: &FaultPlan| {
+            let mut b = Board::msp430fr5994();
+            let mut s = supply.clone();
+            let mut ring = EventRing::new(1 << 16);
+            let r = exec.run_plan_faulted_probed(&plan, &mut b, &mut s, fault, &mut ring);
+            let events: Vec<ExecEvent> = ring.events().copied().collect();
+            (r, b.meter().clone(), s.capacitor().clone(), events)
+        };
+        for fault in [FaultPlan::NONE, FaultPlan::compile(&flipping)] {
+            let (a, b) = (weak_supply(), bench_supply());
+            let (want_a, want_b) = (solo(&a, &fault), solo(&b, &fault));
+            let (mut board_a, mut board_b) = (Board::msp430fr5994(), Board::msp430fr5994());
+            let (mut sa, mut sb) = (a.clone(), b.clone());
+            let (mut ring_a, mut ring_b) = (EventRing::new(1 << 16), EventRing::new(1 << 16));
+            let (ra, rb, trace) = exec.run_plan_pair(
+                &plan,
+                &fault,
+                (&mut board_a, &mut sa, &mut ring_a),
+                (&mut board_b, &mut sb, &mut ring_b),
+                true,
+            );
+            let got_a = (
+                ra,
+                board_a.meter().clone(),
+                sa.capacitor().clone(),
+                ring_a.events().copied().collect::<Vec<_>>(),
+            );
+            let got_b = (
+                rb,
+                board_b.meter().clone(),
+                sb.capacitor().clone(),
+                ring_b.events().copied().collect::<Vec<_>>(),
+            );
+            assert_eq!(got_a, want_a);
+            assert_eq!(got_b, want_b);
+            assert!(got_a.0.outages > 0, "want outage coverage");
+            assert_eq!(trace.expect("recorded").report(), &want_b.0);
+        }
     }
 
     #[test]

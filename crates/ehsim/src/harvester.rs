@@ -682,6 +682,103 @@ impl Harvester {
     }
 }
 
+/// A per-run memo of the [`Harvester::Bursts`] slot the run is in, so
+/// the executor's per-op harvest skips the slot walk's division,
+/// `floor`, float-to-int conversion and SplitMix hash while an op stays
+/// inside the memoized slot.
+///
+/// [`energy_over`](Self::energy_over) returns exactly the bits of
+/// [`Harvester::energy_over`]: inside one slot the walk adds a single
+/// overlap to `0.0`, which the memo reproduces term for term. It falls
+/// back to the walk for `dt <= 0`, for an op that crosses the slot's
+/// end, and for every other waveform.
+#[derive(Debug, Clone)]
+pub(crate) struct SlotMemo {
+    /// The burst source's slot length; NaN disables the memo.
+    slot_s: f64,
+    watts: f64,
+    threshold: u64,
+    seed: u64,
+    /// The memoized slot `k` (NaN when none), its end `(k + 1) * slot_s`
+    /// and its power: `watts` when on, `0.0` when off.
+    k: f64,
+    slot_end: f64,
+    power: f64,
+}
+
+impl SlotMemo {
+    /// An empty memo for `harvester`; disabled unless it is a burst
+    /// source with finite power and a finite positive slot.
+    pub(crate) fn new(harvester: &Harvester) -> Self {
+        let mut memo = SlotMemo {
+            slot_s: f64::NAN,
+            watts: 0.0,
+            threshold: 0,
+            seed: 0,
+            k: f64::NAN,
+            slot_end: f64::NAN,
+            power: 0.0,
+        };
+        if let Harvester::Bursts {
+            watts,
+            slot_s,
+            p_on,
+            seed,
+        } = *harvester
+        {
+            if watts.is_finite() && slot_s > 0.0 && slot_s.is_finite() {
+                memo.slot_s = slot_s;
+                memo.watts = watts;
+                memo.threshold = burst_threshold(p_on);
+                memo.seed = seed;
+            }
+        }
+        memo
+    }
+
+    /// [`Harvester::energy_over`] of `harvester` (the source the memo
+    /// was made for), bit for bit.
+    #[inline(always)]
+    pub(crate) fn energy_over(&mut self, harvester: &Harvester, t0: f64, dt: f64) -> f64 {
+        if self.slot_s.is_nan() {
+            return harvester.energy_over(t0, dt);
+        }
+        let end = t0 + dt;
+        let q = t0 / self.slot_s;
+        // `k <= q < k + 1` is `floor(q) == k` without the `floor`; an
+        // empty memo's NaN slot fails it.
+        if dt > 0.0 && self.k <= q && q < self.k + 1.0 && end <= self.slot_end {
+            // The walk's single in-slot term: `0.0 + watts * (end - t0)`
+            // when on (zero when `end == t0`), `0.0` when off.
+            0.0 + self.power * (end - t0)
+        } else {
+            self.miss(harvester, t0, dt)
+        }
+    }
+
+    /// The slot walk, then a refresh to the slot the next op starts in.
+    #[cold]
+    #[inline(never)]
+    fn miss(&mut self, harvester: &Harvester, t0: f64, dt: f64) -> f64 {
+        let energy = harvester.energy_over(t0, dt);
+        let q = (t0 + dt.max(0.0)) / self.slot_s;
+        // Memoize only slots whose index and neighbour are exact floats.
+        if q >= 0.0 && q < (1u64 << 52) as f64 {
+            let k = q.floor() as i64;
+            self.k = k as f64;
+            self.slot_end = (k + 1) as f64 * self.slot_s;
+            self.power = if split_mix((k as u64).wrapping_add(self.seed)) < self.threshold {
+                self.watts
+            } else {
+                0.0
+            };
+        } else {
+            self.k = f64::NAN;
+        }
+        energy
+    }
+}
+
 impl fmt::Display for Harvester {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -963,6 +1060,79 @@ mod tests {
         }
         let got = h.energy_over(t0, dt);
         assert!((got - expected).abs() < 1e-15, "{got} vs {expected}");
+    }
+
+    #[test]
+    fn slot_memo_matches_energy_over_bit_for_bit() {
+        let base = Harvester::bursts(0.002, 0.01, 0.35, 0x000F_F1CE);
+        let sources = [
+            base.clone(),
+            base.scaled(0.37),
+            base.scaled(0.0),
+            base.with_seed(99),
+            Harvester::bursts(1e-3, 3e-7, 0.5, 7),
+            Harvester::bursts(5e-3, 0.01, 1.0, 1),
+            Harvester::bursts(5e-3, 0.01, 0.0, 1),
+            Harvester::constant(0.002),
+            Harvester::sine(0.002, 0.2),
+        ];
+        let up = |x: f64| f64::from_bits(x.to_bits() + 1);
+        let down = |x: f64| {
+            if x > 0.0 {
+                f64::from_bits(x.to_bits() - 1)
+            } else {
+                x
+            }
+        };
+        for h in &sources {
+            let slot = match *h {
+                Harvester::Bursts { slot_s, .. } => slot_s,
+                _ => 0.01,
+            };
+            // Adversarial (t, dt): exact slot edges and their neighbours,
+            // zero and negative dt, sub-ulp dt, dt landing exactly on (or
+            // one ulp past) the slot end, and multi-slot dt — in order,
+            // through one memo, so hits and misses interleave.
+            let mut cases = Vec::new();
+            for k in [0u64, 1, 2, 7, 1000, 123_457] {
+                let edge = k as f64 * slot;
+                let next = (k + 1) as f64 * slot;
+                for t in [edge, up(edge), down(next), edge + 0.5 * slot, next] {
+                    for dt in [
+                        0.0,
+                        -1e-9,
+                        1e-300,
+                        f64::MIN_POSITIVE,
+                        next - t,
+                        up(next - t),
+                        down(next - t),
+                        1e-6 * slot,
+                        0.5 * slot,
+                        3.7 * slot,
+                        40.0 * slot,
+                    ] {
+                        cases.push((t, dt));
+                    }
+                }
+            }
+            // Then an op-like walk: many short steps per slot.
+            let mut t = 0.0;
+            let mut z = 0x1234_5678_u64;
+            for _ in 0..20_000 {
+                z = split_mix(z);
+                let dt = slot * 1e-3 * (1 + z % 400) as f64;
+                cases.push((t, dt));
+                t += dt;
+            }
+            let mut memo = SlotMemo::new(h);
+            for (t, dt) in cases {
+                assert_eq!(
+                    memo.energy_over(h, t, dt).to_bits(),
+                    h.energy_over(t, dt).to_bits(),
+                    "{h}: t {t:e}, dt {dt:e}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -115,9 +115,10 @@ pub struct ExecutionPlan {
     /// word count in the program).
     pub(crate) checkpoints: Vec<PlannedCost>,
     /// `plain_end[i]` is the first index `>= i` whose op is *special*
-    /// (commits or allows an on-demand checkpoint), or `len()`. Runs of
-    /// plain ops between special ops form the coalesced segments the
-    /// executor replays without per-op flag checks. Length `len() + 1`.
+    /// (commits or allows an on-demand checkpoint), or `len()`. A special
+    /// op plus the plain ops after it form one segment: the executor
+    /// checks commit and checkpoint flags only at its first op. Length
+    /// `len() + 1`.
     plain_end: Vec<u32>,
     restore: PlannedCost,
     integrity: Integrity,
@@ -296,8 +297,9 @@ impl ExecutionPlan {
         self.plain_end[i] as usize
     }
 
-    /// Number of coalesced plain segments of at least two ops — a
-    /// compile-time diagnostic for how much the segment loop can batch.
+    /// Number of plain runs of at least two ops — a compile-time
+    /// diagnostic for how many ops the executor runs without checking
+    /// commit and checkpoint flags.
     pub fn coalesced_segments(&self) -> usize {
         let n = self.len();
         let mut count = 0;

@@ -102,10 +102,11 @@ impl TimelineRecorder {
     /// run. The dark-interval buffer's capacity is recycled.
     pub fn take(&mut self) -> RunTimeline {
         let timeline = RunTimeline {
-            dark: core::mem::take(&mut self.dark),
+            dark: self.dark.clone(),
             end_t: self.end_t,
             outcome: self.outcome.take(),
         };
+        self.dark.clear();
         self.end_t = 0.0;
         timeline
     }

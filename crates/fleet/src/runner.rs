@@ -7,10 +7,10 @@ use crate::report::FleetReport;
 use crate::scenario::{Scenario, ScenarioMatrix, Workload};
 use ehdl::deployment::quantized_accuracy;
 use ehdl::ehsim::{
-    ExecPhase, ExecutionPlan, FaultPlan, Integrity, IntermittentExecutor, RunTrace,
-    TimelineRecorder,
+    Environment, ExecPhase, ExecutionPlan, FaultPlan, Integrity, IntermittentExecutor, NullProbe,
+    RunReport, RunTrace, TimelineRecorder,
 };
-use ehdl::{BoardSpec, Deployment, Error, Strategy};
+use ehdl::{BoardSpec, Deployment, DeviceSession, Error, Strategy};
 use ehdl_netsim::{DeviceTimeline, SharedField, WorldSim};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -99,6 +99,8 @@ type ArtifactCache = Mutex<Lru<(Deployment, f64)>>;
 /// the dense (plan, environment, budget, fault) index. A rebuilt entry
 /// is bit-identical to the evicted one (recording is deterministic), so
 /// eviction trades wall-clock for memory without touching any report.
+/// The bound counts entries, not bytes; each trace is run-length
+/// encoded, O(outages + checkpoints) however long the run.
 type TraceCache = Mutex<Lru<Arc<RunTrace>>>;
 
 /// The append-only store of compiled execution plans, one per
@@ -152,6 +154,12 @@ type PlanStore = Mutex<
 /// (the per-op meter records are re-applied in order against each
 /// board's own tallies), which is what keeps the report
 /// worker-count-independent.
+///
+/// Live runs that cannot be replayed go two at a time through the
+/// executor's lockstep pair entry — a scenario's runs in pairs, a
+/// world's devices in pairs — so one core overlaps their capacitor
+/// dependency chains. Reports stay bit-identical to running them one
+/// by one.
 ///
 /// Fault injection rides the same machinery: each
 /// [`FaultSpec`](crate::FaultSpec) on the matrix's fault axis compiles
@@ -737,9 +745,13 @@ fn deploy_scenario(
 /// (accuracy was priced once per built model by the runner). Every run
 /// consults the scenario's compiled [`FaultPlan`] — the fault-free
 /// axis value compiles to a disabled plan, which executes the exact
-/// pre-fault arithmetic. In `reference` mode the session compiles its
-/// own plan and replays the op-by-op interpreter instead — the
-/// pre-plan behavior parity suites compare against.
+/// pre-fault arithmetic. Live stochastic runs go in lockstep pairs
+/// (runs 0 and 1, 2 and 3, …; an odd last run goes alone) through
+/// [`DeviceSession::infer_intermittent_pair`], which leaves the session
+/// board exactly as running them one by one would. In `reference` mode
+/// the session compiles its own plan and replays the op-by-op
+/// interpreter instead — the pre-plan behavior parity suites compare
+/// against.
 #[allow(clippy::too_many_arguments)]
 fn run_scenario<S: MetricsSink>(
     scenario: &Scenario,
@@ -753,22 +765,52 @@ fn run_scenario<S: MetricsSink>(
     partial: &mut S::Partial,
     mut profile: Option<&mut PhaseProfile>,
 ) -> Result<(), Error> {
-    let mut session = if reference {
-        // Reference mode compiles its own fresh plan per scenario, at
-        // the scenario's integrity scheme so the reference interpreter
-        // prices and recovers identically to the planned path.
-        deploy.deployment.session_with_plan(Arc::new(
-            deploy
-                .deployment
-                .compile_plan_with_integrity(scenario.integrity),
-        ))
-    } else {
-        deploy
-            .deployment
-            .session_with_plan(Arc::clone(&deploy.plan))
+    let mut session = open_session(scenario, deploy, reference);
+    let runs = u64::from(runs);
+    let supply = |run: u64| {
+        // Stochastic environments get a fresh, reproducible seed per
+        // run (the reference path reseeds deterministic ones too — a
+        // no-op replay of the same waveform).
+        scenario
+            .environment
+            .reseeded(mix(scenario.seed, run))
+            .supply()
     };
-
-    for run in 0..u64::from(runs) {
+    let mut run = 0u64;
+    while run < runs {
+        if trace_key.is_none() && !reference && run + 1 < runs {
+            let (mut supply_a, mut supply_b) = (supply(run), supply(run + 1));
+            let supplies = [&mut supply_a, &mut supply_b];
+            let reports = if let Some(p) = profile.as_deref_mut() {
+                // Each lane gets its own profile, merged afterwards.
+                let mut lane_b = PhaseProfile::new();
+                let t0 = Instant::now();
+                let reports = session.infer_intermittent_pair(
+                    None,
+                    executor,
+                    supplies,
+                    fault,
+                    (&mut *p, &mut lane_b),
+                );
+                record_pair_exec(p, t0);
+                p.merge(&lane_b);
+                reports
+            } else {
+                session.infer_intermittent_pair(
+                    None,
+                    executor,
+                    supplies,
+                    fault,
+                    (&mut NullProbe, &mut NullProbe),
+                )
+            };
+            for (k, r) in reports.iter().enumerate() {
+                let run = (run + k as u64) as u32;
+                fold_run::<S>(scenario, run, deploy, r, partial, profile.as_deref_mut());
+            }
+            run += 2;
+            continue;
+        }
         let r = if let Some(key) = trace_key {
             // Deterministic environment: every (seed, run) replays the
             // one trajectory this (plan, environment, budget, fault)
@@ -818,11 +860,7 @@ fn run_scenario<S: MetricsSink>(
                 }
             }
         } else {
-            // Stochastic environments get a fresh, reproducible seed per
-            // run (the reference path reseeds deterministic ones too —
-            // a no-op replay of the same waveform).
-            let env = scenario.environment.reseeded(mix(scenario.seed, run));
-            let mut supply = env.supply();
+            let mut supply = supply(run);
             if let Some(p) = profile.as_deref_mut() {
                 let t0 = Instant::now();
                 let r = if reference {
@@ -843,19 +881,68 @@ fn run_scenario<S: MetricsSink>(
                 session.infer_intermittent_faulted(executor, &mut supply, fault)
             }
         };
-        let record = RunRecord {
+        fold_run::<S>(
             scenario,
-            run: run as u32,
-            accuracy: deploy.accuracy,
-            report: &r,
-        };
-        let t0 = profile.is_some().then(Instant::now);
-        S::fold(partial, &record);
-        if let (Some(p), Some(t0)) = (profile.as_deref_mut(), t0) {
-            p.record(ExecPhase::SinkFold, t0.elapsed().as_secs_f64());
-        }
+            run as u32,
+            deploy,
+            &r,
+            partial,
+            profile.as_deref_mut(),
+        );
+        run += 1;
     }
     Ok(())
+}
+
+/// A session over the scenario's shared plan — or, in `reference` mode,
+/// over its own fresh plan at the scenario's integrity scheme, so the
+/// reference interpreter prices and recovers identically to the planned
+/// path.
+fn open_session<'d>(
+    scenario: &Scenario,
+    deploy: &'d DeployState,
+    reference: bool,
+) -> DeviceSession<'d> {
+    let plan = if reference {
+        Arc::new(
+            deploy
+                .deployment
+                .compile_plan_with_integrity(scenario.integrity),
+        )
+    } else {
+        Arc::clone(&deploy.plan)
+    };
+    deploy.deployment.session_with_plan(plan)
+}
+
+/// Records a lockstep pair's wall time as two `plan_exec` spans, one per
+/// run, so the phase still counts one sample per run.
+fn record_pair_exec(profile: &mut PhaseProfile, started: Instant) {
+    let half = started.elapsed().as_secs_f64() / 2.0;
+    profile.record(ExecPhase::PlanExec, half);
+    profile.record(ExecPhase::PlanExec, half);
+}
+
+/// Folds one run's report into the scenario's sink accumulator.
+fn fold_run<S: MetricsSink>(
+    scenario: &Scenario,
+    run: u32,
+    deploy: &DeployState,
+    report: &RunReport,
+    partial: &mut S::Partial,
+    profile: Option<&mut PhaseProfile>,
+) {
+    let record = RunRecord {
+        scenario,
+        run,
+        accuracy: deploy.accuracy,
+        report,
+    };
+    let t0 = profile.is_some().then(Instant::now);
+    S::fold(partial, &record);
+    if let (Some(p), Some(t0)) = (profile, t0) {
+        p.record(ExecPhase::SinkFold, t0.elapsed().as_secs_f64());
+    }
 }
 
 /// Runs one networked scenario: every device of the topology executes
@@ -866,13 +953,15 @@ fn run_scenario<S: MetricsSink>(
 /// [`WorldSim`] then resolves the gateway's polling schedule into one
 /// `SloOutcome`, folded via [`MetricsSink::fold_slo`].
 ///
-/// Devices advance strictly in id order and never interact mid-run —
-/// the field is allocated up front and the gateway only observes
-/// recorded timelines — so the result is a pure function of the
-/// scenario at any worker count. Device 0 keeps the scenario seed
-/// (which is what makes a single-device topology reproduce the solo
-/// executor's records bit for bit); higher ids salt it so no two
-/// devices replay the same stochastic waveform.
+/// Devices never interact mid-run — the field is allocated up front and
+/// the gateway only observes recorded timelines — so the result is a
+/// pure function of the scenario at any worker count. Devices `d` and
+/// `d + 1` run in lockstep pairs on their own sessions (an odd last
+/// device, and every device in `reference` mode, runs alone); records
+/// are folded and timelines added in device order. Device 0 keeps the
+/// scenario seed (which is what makes a single-device topology
+/// reproduce the solo executor's records bit for bit); higher ids salt
+/// it so no two devices replay the same stochastic waveform.
 #[allow(clippy::too_many_arguments)]
 fn run_world_scenario<S: MetricsSink>(
     scenario: &Scenario,
@@ -887,73 +976,102 @@ fn run_world_scenario<S: MetricsSink>(
     let topology = scenario.topology;
     let field = SharedField::for_topology(&topology);
     let mut world = WorldSim::new(topology);
-    let mut recorder = TimelineRecorder::new();
-    for device in 0..topology.devices {
+    // A device's share of the field, and the supply of one of its runs.
+    let environment = |device: u32| {
         let scale = field.scale(device);
         // Scaling by exactly 1.0 is a bitwise identity, but skipping it
         // keeps the single-device fast path obvious.
-        let env = if scale == 1.0 {
+        if scale == 1.0 {
             scenario.environment.clone()
         } else {
             scenario.environment.scaled(scale)
-        };
-        let device_seed = scenario
-            .seed
-            .wrapping_add(u64::from(device).wrapping_mul(0xD1B5_4A32_D192_ED03));
-        let mut session = if reference {
-            deploy.deployment.session_with_plan(Arc::new(
-                deploy
-                    .deployment
-                    .compile_plan_with_integrity(scenario.integrity),
-            ))
-        } else {
-            deploy
-                .deployment
-                .session_with_plan(Arc::clone(&deploy.plan))
-        };
-        let mut timeline = DeviceTimeline::new();
-        for run in 0..u64::from(runs) {
-            let reseeded;
-            let run_env = if env.is_stochastic() {
-                reseeded = env.reseeded(mix(device_seed, run));
-                &reseeded
-            } else {
-                &env
-            };
-            let mut supply = run_env.supply();
-            let t0 = profile.is_some().then(Instant::now);
-            let r = if reference {
-                session.infer_intermittent_faulted_reference_probed(
-                    executor,
-                    &mut supply,
-                    fault,
-                    &mut recorder,
-                )
-            } else {
-                session.infer_intermittent_faulted_probed(
-                    executor,
-                    &mut supply,
-                    fault,
-                    &mut recorder,
-                )
-            };
-            if let (Some(p), Some(t0)) = (profile.as_deref_mut(), t0) {
-                p.record(ExecPhase::PlanExec, t0.elapsed().as_secs_f64());
-            }
-            timeline.push_run(&recorder.take());
-            let record = RunRecord {
-                scenario,
-                run: device * runs + run as u32,
-                accuracy: deploy.accuracy,
-                report: &r,
-            };
-            let t0 = profile.is_some().then(Instant::now);
-            S::fold(partial, &record);
-            if let (Some(p), Some(t0)) = (profile.as_deref_mut(), t0) {
-                p.record(ExecPhase::SinkFold, t0.elapsed().as_secs_f64());
-            }
         }
-        world.add_device(device, timeline);
+    };
+    let supply = |env: &Environment, device: u32, run: u64| {
+        if env.is_stochastic() {
+            let device_seed = scenario
+                .seed
+                .wrapping_add(u64::from(device).wrapping_mul(0xD1B5_4A32_D192_ED03));
+            env.reseeded(mix(device_seed, run)).supply()
+        } else {
+            env.supply()
+        }
+    };
+    let record_id = |device: u32, run: u64| device * runs + run as u32;
+    let mut recorder = TimelineRecorder::new();
+    let mut partner_recorder = TimelineRecorder::new();
+    let mut device = 0;
+    while device < topology.devices {
+        let env = environment(device);
+        let mut session = open_session(scenario, deploy, reference);
+        let mut timeline = DeviceTimeline::new();
+        if !reference && device + 1 < topology.devices {
+            let partner_id = device + 1;
+            let partner_env = environment(partner_id);
+            let mut partner = open_session(scenario, deploy, false);
+            let mut partner_timeline = DeviceTimeline::new();
+            // The partner's records fold after all of this device's, so
+            // its reports wait here — all but the last, so a one-run
+            // world allocates nothing per device.
+            let mut held = Vec::new();
+            let mut last = None;
+            for run in 0..u64::from(runs) {
+                let t0 = profile.is_some().then(Instant::now);
+                let [a, b] = session.infer_intermittent_pair(
+                    Some(&mut partner),
+                    executor,
+                    [
+                        &mut supply(&env, device, run),
+                        &mut supply(&partner_env, partner_id, run),
+                    ],
+                    fault,
+                    (&mut recorder, &mut partner_recorder),
+                );
+                if let (Some(p), Some(t0)) = (profile.as_deref_mut(), t0) {
+                    record_pair_exec(p, t0);
+                }
+                timeline.push_run(&recorder.take());
+                partner_timeline.push_run(&partner_recorder.take());
+                let id = record_id(device, run);
+                fold_run::<S>(scenario, id, deploy, &a, partial, profile.as_deref_mut());
+                held.extend(last.replace(b));
+            }
+            for (run, r) in held.iter().chain(&last).enumerate() {
+                let id = record_id(partner_id, run as u64);
+                fold_run::<S>(scenario, id, deploy, r, partial, profile.as_deref_mut());
+            }
+            world.add_device(device, timeline);
+            world.add_device(partner_id, partner_timeline);
+            device += 2;
+        } else {
+            for run in 0..u64::from(runs) {
+                let mut supply = supply(&env, device, run);
+                let t0 = profile.is_some().then(Instant::now);
+                let r = if reference {
+                    session.infer_intermittent_faulted_reference_probed(
+                        executor,
+                        &mut supply,
+                        fault,
+                        &mut recorder,
+                    )
+                } else {
+                    session.infer_intermittent_faulted_probed(
+                        executor,
+                        &mut supply,
+                        fault,
+                        &mut recorder,
+                    )
+                };
+                if let (Some(p), Some(t0)) = (profile.as_deref_mut(), t0) {
+                    p.record(ExecPhase::PlanExec, t0.elapsed().as_secs_f64());
+                }
+                timeline.push_run(&recorder.take());
+                let id = record_id(device, run);
+                fold_run::<S>(scenario, id, deploy, &r, partial, profile.as_deref_mut());
+            }
+            world.add_device(device, timeline);
+            device += 1;
+        }
     }
     let outcome = world.resolve();
     let t0 = profile.is_some().then(Instant::now);

@@ -7,6 +7,12 @@
 //! entry (so evicted state is rebuilt mid-sweep), for a HAR+MNIST
 //! matrix and for an OKG matrix (three BCM layers, blocks 256/128/64).
 //!
+//! Two more sweep pins guard the live executor, where no trace replay
+//! can hide a change: a fault storm (resets, sags, torn commits,
+//! corrupt restores and bit flips under SECDED on a stochastic supply,
+//! three runs per scenario) and a small gateway world (an odd line of
+//! devices sharing one RF field under SONIC and FLEX).
+//!
 //! A second fence pins the host kernels the deployment build runs, one
 //! level below the sweep: each zoo model's RAD calibration
 //! (`Calibration::observed_max` and `scales`, bit for bit) and the Q15
@@ -19,10 +25,12 @@
 use ehdl::ace::reference;
 use ehdl::compress::normalize;
 use ehdl::deployment::{quantize_input, quantized_accuracy};
-use ehdl::ehsim::{catalog, ExecutorConfig, Integrity};
+use ehdl::ehsim::{catalog, ExecutorConfig, FaultSpec, Integrity, WearCurve};
 use ehdl::fixed::OverflowStats;
 use ehdl::prelude::*;
-use ehdl_fleet::{DigestSink, FleetReport, FleetRunner, FullReportSink, ScenarioMatrix, Workload};
+use ehdl_fleet::{
+    DigestSink, FleetReport, FleetRunner, FullReportSink, NetworkTopology, ScenarioMatrix, Workload,
+};
 
 /// FNV-1a 64 of `FleetDigest::to_json()` over [`fence_matrix`].
 const DIGEST_JSON_FNV64: u64 = 0x24b8_af5e_ba79_505b;
@@ -43,6 +51,15 @@ const OKG_DIGEST_JSON_FNV64: u64 = 0xa502_6a16_d750_cc16;
 
 /// Quantized accuracy of the OKG seed-1 model over its 8-sample slice.
 const OKG_ACCURACY: [(&str, u64, f64); 1] = [("okg", 1, 0.125)];
+
+/// FNV-1a 64 of `FleetDigest::to_json()` over [`storm_fence_matrix`].
+const STORM_DIGEST_JSON_FNV64: u64 = 0x04a0_2bba_b5c7_fb81;
+
+/// FNV-1a 64 of `FleetDigest::to_json()` over [`world_fence_matrix`].
+const WORLD_DIGEST_JSON_FNV64: u64 = 0x0203_8a51_07d2_f5e1;
+
+/// Quantized accuracy of the HAR seed-1 model over its 8-sample slice.
+const WORLD_ACCURACY: [(&str, u64, f64); 1] = [("har", 1, 0.25)];
 
 /// Per zoo model, calibrated at target 0.9 on its 8-sample seed-1 slice:
 /// FNV-1a 64 over the bits of `observed_max` then `scales`; FNV-1a 64
@@ -97,6 +114,60 @@ fn okg_fence_matrix() -> ScenarioMatrix {
             stall_outages: 6,
             ..ExecutorConfig::default()
         })
+}
+
+/// HAR+MNIST × every strategy × {no faults, a storm of every fault
+/// kind} × SECDED × office_rf × 2 seeds, 3 runs: 48 scenarios, every
+/// run live on a stochastic supply.
+fn storm_fence_matrix() -> ScenarioMatrix {
+    let storm = FaultSpec {
+        seed: 0x5EED_F00D,
+        reset_per_op: 2e-4,
+        sag_per_op: 1e-3,
+        sag_factor: 1.5,
+        tear_per_commit: 0.1,
+        corrupt_per_restore: 0.25,
+        burst_len: 0,
+        flip_per_commit_bit: 1e-4,
+        wear: WearCurve::NONE,
+    };
+    ScenarioMatrix::new()
+        .environments(vec![catalog::office_rf()])
+        .strategies(Strategy::ALL.to_vec())
+        .workloads(vec![
+            Workload::Har { samples: 8 },
+            Workload::Mnist { samples: 8 },
+        ])
+        .faults(vec![FaultSpec::none(), storm])
+        .integrities(vec![Integrity::Secded])
+        .seeds(vec![1, 2])
+        .runs(3)
+        .calibration(CalibrationConfig {
+            samples: 4,
+            percentile: 0.9,
+        })
+        .executor(ExecutorConfig::default())
+}
+
+/// HAR on a line of 9 devices sharing one office_rf field, under SONIC
+/// and FLEX, 2 runs per device: 2 scenarios of 18 runs each.
+fn world_fence_matrix() -> ScenarioMatrix {
+    let line = NetworkTopology {
+        field_budget: 9.0 * 0.9,
+        ..NetworkTopology::line(9, 0.05, 0.5)
+    };
+    ScenarioMatrix::new()
+        .environments(vec![catalog::office_rf()])
+        .strategies(vec![Strategy::Sonic, Strategy::Flex])
+        .workloads(vec![Workload::Har { samples: 8 }])
+        .topologies(vec![line])
+        .seeds(vec![1])
+        .runs(2)
+        .calibration(CalibrationConfig {
+            samples: 4,
+            percentile: 0.9,
+        })
+        .executor(ExecutorConfig::default())
 }
 
 fn fnv64(bytes: &[u8]) -> u64 {
@@ -156,6 +227,20 @@ fn fleet_sweep_matches_the_golden_pins() {
 #[test]
 fn okg_fleet_sweep_matches_the_golden_pins() {
     assert_sweep_pins(&okg_fence_matrix(), OKG_DIGEST_JSON_FNV64, &OKG_ACCURACY);
+}
+
+#[test]
+fn fault_storm_sweep_matches_the_golden_pins() {
+    assert_sweep_pins(&storm_fence_matrix(), STORM_DIGEST_JSON_FNV64, &ACCURACY);
+}
+
+#[test]
+fn gateway_world_sweep_matches_the_golden_pins() {
+    assert_sweep_pins(
+        &world_fence_matrix(),
+        WORLD_DIGEST_JSON_FNV64,
+        &WORLD_ACCURACY,
+    );
 }
 
 #[test]
